@@ -12,7 +12,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
+#include <unistd.h>
 
 using namespace perceus;
 using namespace perceus::bench;
@@ -143,6 +147,73 @@ EngineKind perceus::bench::parseEngine(int Argc, char **Argv,
   return K;
 }
 
+namespace {
+
+/// First line of \p Cmd's stdout, without the newline ("" on failure).
+std::string firstLineOf(const std::string &Cmd) {
+  std::FILE *P = popen(Cmd.c_str(), "r");
+  if (!P)
+    return std::string();
+  char Buf[256] = {};
+  std::string Line = std::fgets(Buf, sizeof(Buf), P) ? Buf : "";
+  pclose(P);
+  while (!Line.empty() && (Line.back() == '\n' || Line.back() == '\r'))
+    Line.pop_back();
+  return Line;
+}
+
+std::string cpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("model name", 0) == 0) {
+      size_t Colon = Line.find(':');
+      if (Colon != std::string::npos && Colon + 2 <= Line.size())
+        return Line.substr(Colon + 2);
+    }
+  return "unknown";
+}
+
+std::string gitCommit() {
+#ifdef PERCEUS_REPO_ROOT
+  std::string Git = std::string("git -C '") + PERCEUS_REPO_ROOT + "' ";
+  std::string Head = firstLineOf(Git + "rev-parse HEAD 2>/dev/null");
+  if (Head.empty())
+    return "unknown";
+  bool Dirty = !firstLineOf(Git + "status --porcelain --untracked-files=no "
+                                  "2>/dev/null")
+                    .empty();
+  return Dirty ? Head + "-dirty" : Head;
+#else
+  return "unknown";
+#endif
+}
+
+} // namespace
+
+const Fingerprint &perceus::bench::hostFingerprint() {
+  static const Fingerprint FP = [] {
+    Fingerprint F;
+    char Host[256] = {};
+    F.Host = gethostname(Host, sizeof(Host) - 1) == 0 ? Host : "unknown";
+    F.Nproc = std::thread::hardware_concurrency();
+    F.CpuModel = cpuModel();
+#ifdef PERCEUS_COMPILER
+    F.Compiler = PERCEUS_COMPILER;
+#else
+    F.Compiler = "unknown";
+#endif
+#ifdef PERCEUS_BUILD_TYPE
+    F.BuildType = PERCEUS_BUILD_TYPE;
+#else
+    F.BuildType = "unknown";
+#endif
+    F.Commit = gitCommit();
+    return F;
+  }();
+  return FP;
+}
+
 BenchReport::BenchReport(std::string Bench, double Scale)
     : Bench(std::move(Bench)), Scale(Scale) {}
 
@@ -157,6 +228,16 @@ std::string BenchReport::json() const {
       .member("schema", "perceus-bench-v1")
       .member("bench", std::string_view(Bench))
       .member("scale", Scale);
+  const Fingerprint &FP = hostFingerprint();
+  W.key("fingerprint")
+      .beginObject()
+      .member("host", std::string_view(FP.Host))
+      .member("nproc", FP.Nproc)
+      .member("cpu_model", std::string_view(FP.CpuModel))
+      .member("compiler", std::string_view(FP.Compiler))
+      .member("build_type", std::string_view(FP.BuildType))
+      .member("commit", std::string_view(FP.Commit))
+      .endObject();
   W.key("results").beginArray();
   for (const Row &R : Rows) {
     W.beginObject()
@@ -306,6 +387,19 @@ std::string perceus::bench::validateBenchJson(std::string_view Text) {
     return "missing or unknown 'schema' (want perceus-bench-v1)";
   if (!requireKey(*Doc, "bench", K::String, "document", Err) ||
       !requireKey(*Doc, "scale", K::Number, "document", Err))
+    return Err;
+  // Absolute numbers mean nothing without where they were measured.
+  const JsonValue *FP = Doc->find("fingerprint", K::Object);
+  if (!FP)
+    return "missing or mistyped 'fingerprint'";
+  for (const char *Key :
+       {"host", "cpu_model", "compiler", "build_type", "commit"}) {
+    if (!requireKey(*FP, Key, K::String, "fingerprint", Err))
+      return Err;
+    if (FP->find(Key, K::String)->Str.empty())
+      return std::string("empty '") + Key + "' in fingerprint";
+  }
+  if (!requireKey(*FP, "nproc", K::Number, "fingerprint", Err))
     return Err;
   const JsonValue *Results = Doc->find("results", K::Array);
   if (!Results)

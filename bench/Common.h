@@ -142,6 +142,23 @@ double parseScale(int Argc, char **Argv, double Default = 1.0);
 EngineKind parseEngine(int Argc, char **Argv,
                        EngineKind Default = EngineKind::Cek);
 
+/// Where and from what a bench document was produced. Absolute seconds
+/// drift between hosts and builds, so every "perceus-bench-v1" document
+/// carries one, and a number is only comparable to another with the
+/// same fingerprint.
+struct Fingerprint {
+  std::string Host;      ///< host name
+  unsigned Nproc = 0;    ///< hardware threads
+  std::string CpuModel;  ///< /proc/cpuinfo model name ("unknown" elsewhere)
+  std::string Compiler;  ///< compiler id and version
+  std::string BuildType; ///< CMake build type, "+sanitizer" when one is on
+  std::string Commit;    ///< git HEAD of the sources, "-dirty" if modified
+};
+
+/// The fingerprint of this process: host, compiler and build are read
+/// once; the commit asks git in the source tree ("unknown" without git).
+const Fingerprint &hostFingerprint();
+
 /// Machine-readable results ("perceus-bench-v1"): every harness appends
 /// one row per benchmark × configuration and writes `BENCH_<name>.json`
 /// at the repository root — the artifact CI uploads and the bench

@@ -31,8 +31,8 @@ namespace {
 void BM_DupDropLocal(benchmark::State &State) {
   Heap H;
   Cell *C = H.alloc(2, 0, CellKind::Ctor);
-  C->fields()[0] = Value::unit();
-  C->fields()[1] = Value::unit();
+  H.initField(C, 0, Value::unit());
+  H.initField(C, 1, Value::unit());
   Value V = Value::makeRef(C);
   for (auto _ : State) {
     H.dup(V);
@@ -46,8 +46,8 @@ BENCHMARK(BM_DupDropLocal);
 void BM_DupDropShared(benchmark::State &State) {
   Heap H;
   Cell *C = H.alloc(2, 0, CellKind::Ctor);
-  C->fields()[0] = Value::unit();
-  C->fields()[1] = Value::unit();
+  H.initField(C, 0, Value::unit());
+  H.initField(C, 1, Value::unit());
   Value V = Value::makeRef(C);
   H.markShared(V); // the paper's tshare: all further RC ops are atomic
   for (auto _ : State) {
@@ -66,7 +66,7 @@ void BM_DupDropMixed(benchmark::State &State) {
   std::vector<Value> Vals;
   for (int I = 0; I != N; ++I) {
     Cell *C = H.alloc(1, 0, CellKind::Ctor);
-    C->fields()[0] = Value::unit();
+    H.initField(C, 0, Value::unit());
     Value V = Value::makeRef(C);
     if (I % 16 == 0) // 1 in 16 objects is thread-shared
       H.markShared(V);
@@ -88,7 +88,7 @@ void BM_SharedContended(benchmark::State &State) {
   // Thread-safe one-time setup (all benchmark threads enter here).
   static Cell *C = [] {
     Cell *New = H.alloc(1, 0, CellKind::Ctor);
-    New->fields()[0] = Value::unit();
+    H.initField(New, 0, Value::unit());
     H.markShared(Value::makeRef(New));
     return New;
   }();
@@ -106,7 +106,7 @@ BENCHMARK(BM_SharedContended)->Threads(2)->UseRealTime()->Iterations(1 << 21);
 void BM_DupDropSticky(benchmark::State &State) {
   Heap H;
   Cell *C = H.alloc(1, 0, CellKind::Ctor);
-  C->fields()[0] = Value::unit();
+  H.initField(C, 0, Value::unit());
   C->H.Rc.store(INT32_MIN, std::memory_order_relaxed); // sticky
   Value V = Value::makeRef(C);
   for (auto _ : State) {

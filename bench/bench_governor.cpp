@@ -37,8 +37,8 @@ HeapLimits hugeLimits() {
 void allocDropLoop(benchmark::State &State, Heap &H) {
   for (auto _ : State) {
     Cell *C = H.alloc(2, 0, CellKind::Ctor);
-    C->fields()[0] = Value::makeInt(1);
-    C->fields()[1] = Value::unit();
+    H.initField(C, 0, Value::makeInt(1));
+    H.initField(C, 1, Value::unit());
     H.drop(Value::makeRef(C));
   }
 }

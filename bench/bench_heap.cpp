@@ -27,8 +27,8 @@ void BM_AllocFree(benchmark::State &State) {
   Heap H;
   for (auto _ : State) {
     Cell *C = H.alloc(2, 0, CellKind::Ctor);
-    C->fields()[0] = Value::makeInt(1);
-    C->fields()[1] = Value::unit();
+    H.initField(C, 0, Value::makeInt(1));
+    H.initField(C, 1, Value::unit());
     H.drop(Value::makeRef(C));
   }
 }
@@ -42,8 +42,8 @@ void BM_AllocChainThenDrop(benchmark::State &State) {
     Value Tail = Value::unit();
     for (int64_t I = 0; I != N; ++I) {
       Cell *C = H.alloc(2, 0, CellKind::Ctor);
-      C->fields()[0] = Value::makeInt(I);
-      C->fields()[1] = Tail;
+      H.initField(C, 0, Value::makeInt(I));
+      H.initField(C, 1, Tail);
       Tail = Value::makeRef(C);
     }
     H.drop(Tail);

@@ -94,6 +94,26 @@ void RegStack::grow(size_t N) {
   Cap = NewCap;
 }
 
+/// The arithmetic of MoveArith/ArithMove (\p K: 0 add, 1 sub, else mul).
+static int64_t fusedArith(uint32_t K, int64_t A, int64_t B) {
+  return K == 0 ? wrapAdd(A, B) : K == 1 ? wrapSub(A, B) : wrapMul(A, B);
+}
+
+/// The arithmetic of the ArithConst family, whose constant is \p B
+/// (\p K: 0 add, 1 sub, 2 reversed sub `B - A`, else mul).
+static int64_t constArith(uint32_t K, int64_t A, int64_t B) {
+  switch (K) {
+  case 0:
+    return wrapAdd(A, B);
+  case 1:
+    return wrapSub(A, B);
+  case 2:
+    return wrapSub(B, A);
+  default:
+    return wrapMul(A, B);
+  }
+}
+
 void VM::trap(std::string Msg, TrapKind Kind) {
   Trapped = true;
   Run->Ok = false;
@@ -130,9 +150,8 @@ void VM::applyClosure(const Chunk *T, Cell *Clo, const Expr *CallSite,
                       Value *RF) {
   if (Sink)
     Sink->setSite(T->Lam, "app", CallSite->loc());
-  Value *Fields = Clo->fields();
   for (size_t I = 0; I != T->CaptureDst.size(); ++I) {
-    Value Cap = Fields[1 + I];
+    Value Cap = Clo->field(static_cast<uint32_t>(1 + I));
     ++Run->Rc.ImplicitDups;
     H.dup(Cap);
     RF[T->CaptureDst[I]] = Cap;
@@ -346,7 +365,7 @@ NextInstr:
       if (Matches) {
         const uint16_t *Binders = CP.BinderSlots.data() + Arm.BinderBase;
         for (uint32_t J = 0; J != Arm.NumBinders; ++J)
-          RF[Binders[J]] = V.Ref->fields()[J];
+          RF[Binders[J]] = V.Ref->field(J);
         Pc = Arm.Target;
         VM_NEXT();
       }
@@ -391,7 +410,7 @@ NextInstr:
                Callee.Ref->H.Kind == CellKind::Closure) {
       Clo = Callee.Ref;
       const auto *Lm =
-          static_cast<const LamExpr *>(Clo->fields()[0].rawPtr());
+          static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
       if (T->NumParams != I.A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
@@ -444,7 +463,7 @@ NextInstr:
                Callee.Ref->H.Kind == CellKind::Closure) {
       Clo = Callee.Ref;
       const auto *Lm =
-          static_cast<const LamExpr *>(Clo->fields()[0].rawPtr());
+          static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
       if (T->NumParams != I.A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
@@ -495,10 +514,9 @@ NextInstr:
       VM_TRAP("out of memory allocating a closure", TrapKind::OutOfMemory);
     VM_REFRAME(); // a GC-mode alloc may have collected, never resized;
                   // reframe anyway for uniformity
-    Value *Fields = C->fields();
-    Fields[0] = Value::makeRaw(LC->Lam);
-    for (size_t J = 0; J != NCaps; ++J)
-      Fields[1 + J] = RF[LC->CaptureSrc[J]]; // ownership moves in
+    H.initField(C, 0, Value::makeRaw(LC->Lam));
+    for (size_t J = 0; J != NCaps; ++J) // ownership moves in
+      H.initField(C, static_cast<uint32_t>(1 + J), RF[LC->CaptureSrc[J]]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -509,9 +527,8 @@ NextInstr:
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    Value *Fields = C->fields();
     for (uint32_t J = 0; J != I.A; ++J)
-      Fields[J] = RF[I.C + J];
+      H.initField(C, J, RF[I.C + J]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -525,6 +542,7 @@ NextInstr:
     if (Tok.Tok) {
       C = Tok.Tok; // in-place reuse: same memory, fresh identity
       assert(C->H.Arity == I.A && "reuse token arity mismatch");
+      H.clearBoxes(C); // every field is rewritten below
       C->H.Rc.store(1, std::memory_order_relaxed);
       C->H.Tag = static_cast<uint8_t>(I.E);
       C->H.Kind = CellKind::Ctor;
@@ -543,9 +561,8 @@ NextInstr:
                 TrapKind::OutOfMemory);
       VM_REFRAME();
     }
-    Value *Fields = C->fields();
     for (uint32_t J = 0; J != I.A; ++J)
-      Fields[J] = RF[I.C + J];
+      H.initField(C, J, RF[I.C + J]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -640,7 +657,7 @@ NextInstr:
     Value Tok = RF[I.C];
     if (Tok.Kind != ValueKind::Token || !Tok.Tok)
       VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
-    Tok.Tok->fields()[I.A] = RF[I.D];
+    H.setField(Tok.Tok, I.A, RF[I.D]);
     VM_NEXT();
   }
   VM_CASE(TokenValue) {
@@ -664,21 +681,21 @@ NextInstr:
     Value A = RF[I.C], B = RF[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int + B.Int);
+    RF[I.B] = Value::makeInt(wrapAdd(A.Int, B.Int));
     VM_NEXT();
   }
   VM_CASE(Sub) {
     Value A = RF[I.C], B = RF[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int - B.Int);
+    RF[I.B] = Value::makeInt(wrapSub(A.Int, B.Int));
     VM_NEXT();
   }
   VM_CASE(Mul) {
     Value A = RF[I.C], B = RF[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int * B.Int);
+    RF[I.B] = Value::makeInt(wrapMul(A.Int, B.Int));
     VM_NEXT();
   }
   VM_CASE(Div) {
@@ -813,7 +830,7 @@ NextInstr:
     if (!C)
       VM_TRAP("out of memory allocating a reference", TrapKind::OutOfMemory);
     VM_REFRAME();
-    C->fields()[0] = RF[I.C];
+    H.initField(C, 0, RF[I.C]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -821,7 +838,7 @@ NextInstr:
     Value Rv = RF[I.C];
     if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
       VM_TRAP("deref of a non-reference", TrapKind::RuntimeError);
-    Value Out = Rv.Ref->fields()[0];
+    Value Out = Rv.Ref->field(0);
     // The paper's read: dup the content, then release the handle.
     if (Sink)
       Sink->setSite(Sites[Pc - 1], "ref-get", Sites[Pc - 1]->loc());
@@ -836,8 +853,8 @@ NextInstr:
     Value Rv = RF[I.C];
     if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
       VM_TRAP("set-ref of a non-reference", TrapKind::RuntimeError);
-    Value Old = Rv.Ref->fields()[0];
-    Rv.Ref->fields()[0] = RF[I.D]; // content ownership moves in
+    Value Old = Rv.Ref->field(0);
+    H.setField(Rv.Ref, 0, RF[I.D]); // content ownership moves in
     if (Sink)
       Sink->setSite(Sites[Pc - 1], "ref-set", Sites[Pc - 1]->loc());
     R.Rc.ImplicitDrops += 2;
@@ -972,7 +989,7 @@ NextInstr:
                Callee.Ref->H.Kind == CellKind::Closure) {
       Clo = Callee.Ref;
       const auto *Lm =
-          static_cast<const LamExpr *>(Clo->fields()[0].rawPtr());
+          static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
       if (T->NumParams != I.A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
@@ -1017,7 +1034,7 @@ NextInstr:
     if (Tok.Kind != ValueKind::Token || !Tok.Tok)
       VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
     Cell *C = Tok.Tok;
-    C->fields()[I.A] = RF[I.D];
+    H.setField(C, I.A, RF[I.D]);
     C->H.Tag = static_cast<uint8_t>(I.E);
     C->H.Kind = CellKind::Ctor;
     ++R.ReuseHits;
@@ -1215,9 +1232,7 @@ NextInstr:
     Value A = RF[I.C], B = RF[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(I.A == 0   ? A.Int + B.Int
-                             : I.A == 1 ? A.Int - B.Int
-                                        : A.Int * B.Int);
+    RF[I.B] = Value::makeInt(fusedArith(I.A, A.Int, B.Int));
     VM_NEXT();
   }
   VM_CASE(ArithMove) {
@@ -1225,9 +1240,7 @@ NextInstr:
     Value A = RF[I.C], B = RF[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(I.A == 0   ? A.Int + B.Int
-                             : I.A == 1 ? A.Int - B.Int
-                                        : A.Int * B.Int);
+    RF[I.B] = Value::makeInt(fusedArith(I.A, A.Int, B.Int));
     RF[static_cast<uint16_t>(I.E >> 16)] = RF[static_cast<uint16_t>(I.E)];
     VM_NEXT();
   }
@@ -1239,22 +1252,7 @@ NextInstr:
     Value A = RF[I.C], B = Consts[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t V;
-    switch (I.A) {
-    case 0:
-      V = A.Int + B.Int;
-      break;
-    case 1:
-      V = A.Int - B.Int;
-      break;
-    case 2:
-      V = B.Int - A.Int;
-      break;
-    default:
-      V = A.Int * B.Int;
-      break;
-    }
-    RF[I.B] = Value::makeInt(V);
+    RF[I.B] = Value::makeInt(constArith(I.A, A.Int, B.Int));
     VM_NEXT();
   }
   VM_CASE(Move3) {
@@ -1439,22 +1437,7 @@ NextInstr:
     Value A = RF[I.C], B = Consts[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t V;
-    switch (I.A) {
-    case 0:
-      V = A.Int + B.Int;
-      break;
-    case 1:
-      V = A.Int - B.Int;
-      break;
-    case 2:
-      V = B.Int - A.Int;
-      break;
-    default:
-      V = A.Int * B.Int;
-      break;
-    }
-    RF[I.B] = Value::makeInt(V);
+    RF[I.B] = Value::makeInt(constArith(I.A, A.Int, B.Int));
     VM_NEXT();
   }
   VM_CASE(ArithConstMove) {
@@ -1462,22 +1445,7 @@ NextInstr:
     Value A = RF[I.C], B = Consts[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t V;
-    switch (I.A) {
-    case 0:
-      V = A.Int + B.Int;
-      break;
-    case 1:
-      V = A.Int - B.Int;
-      break;
-    case 2:
-      V = B.Int - A.Int;
-      break;
-    default:
-      V = A.Int * B.Int;
-      break;
-    }
-    RF[I.B] = Value::makeInt(V);
+    RF[I.B] = Value::makeInt(constArith(I.A, A.Int, B.Int));
     RF[static_cast<uint16_t>(I.E >> 16)] = RF[static_cast<uint16_t>(I.E)];
     VM_NEXT();
   }
@@ -1529,9 +1497,8 @@ NextInstr:
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    Value *Fields = C->fields();
     for (uint32_t J = 0; J != I.A; ++J)
-      Fields[J] = RF[I.C + J];
+      H.initField(C, J, RF[I.C + J]);
     Value V = Value::makeRef(C);
     RF[I.B] = V; // kept live for a clean unwind should the pop not happen
     if (Frames.empty()) {
@@ -1564,22 +1531,7 @@ NextInstr:
     Value A = RF[I.C], B = Consts[I.D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t VI;
-    switch (I.A) {
-    case 0:
-      VI = A.Int + B.Int;
-      break;
-    case 1:
-      VI = A.Int - B.Int;
-      break;
-    case 2:
-      VI = B.Int - A.Int;
-      break;
-    default:
-      VI = A.Int * B.Int;
-      break;
-    }
-    Value V = Value::makeInt(VI);
+    Value V = Value::makeInt(constArith(I.A, A.Int, B.Int));
     if (Frames.empty()) {
       Result = V;
       goto Done;

@@ -25,17 +25,20 @@ void perceus::collectMarkSweep(Heap &H, const RootEnumerator &Roots) {
   while (!Work.empty()) {
     Cell *C = Work.back();
     Work.pop_back();
-    Value *Fields = C->fields();
+    const FieldWord *Fields = C->words();
     for (uint32_t I = 0; I != C->H.Arity; ++I) {
-      Value V = Fields[I];
-      if (V.isHeap() && !V.Ref->H.GcMark) {
-        V.Ref->H.GcMark = 1;
-        Work.push_back(V.Ref);
+      if (!Fields[I].isHeap())
+        continue;
+      Cell *Child = Fields[I].ref();
+      if (!Child->H.GcMark) {
+        Child->H.GcMark = 1;
+        Work.push_back(Child);
       }
     }
   }
 
-  // Sweep: release unmarked cells, unmark survivors.
+  // Sweep: release unmarked cells (and the boxes their fields own),
+  // unmark survivors.
   std::vector<Cell *> &All = H.allCells();
   size_t Live = 0;
   for (Cell *C : All) {

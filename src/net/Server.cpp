@@ -227,8 +227,10 @@ void Server::acceptAll() {
     if (Fd < 0)
       return; // EAGAIN or transient error; the poller will re-arm
     if (Conns.size() >= Config.MaxConnections || !setNonBlocking(Fd)) {
-      close(Fd);
+      // Count before closing: the peer observes the close, and whoever
+      // reads stats after that must already see the refusal.
       Stats.Refused.fetch_add(1, std::memory_order_relaxed);
+      close(Fd);
       continue;
     }
     int One = 1;
@@ -442,12 +444,13 @@ void Server::updateInterest(Conn &C) {
 }
 
 void Server::closeConn(Conn &C, bool Idle) {
-  P.remove(C.Fd);
-  close(C.Fd);
-  ConnById.erase(C.Id);
+  // Count before closing, as in acceptAll: the peer observes the close.
   Stats.Closed.fetch_add(1, std::memory_order_relaxed);
   if (Idle)
     Stats.IdleClosed.fetch_add(1, std::memory_order_relaxed);
+  P.remove(C.Fd);
+  close(C.Fd);
+  ConnById.erase(C.Id);
   Conns.erase(C.Fd); // invalidates C; must be last
 }
 

@@ -33,7 +33,7 @@ constexpr size_t SlabBytes = 256 * 1024;
 /// constant spreads any stride uniformly; the well-mixed middle bits
 /// select the slot.
 size_t coalesceIndex(const Cell *C, size_t Slots) {
-  auto Bits = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(C) >> 4);
+  auto Bits = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(C) >> 3);
   return static_cast<size_t>((Bits * 0x9E3779B97F4A7C15ull) >> 32) &
          (Slots - 1);
 }
@@ -43,7 +43,17 @@ Heap::Heap(HeapMode Mode, size_t GcThresholdBytes)
     : Mode(Mode), GcThreshold(GcThresholdBytes),
       GcThresholdMin(GcThresholdBytes) {}
 
-Heap::~Heap() = default;
+Heap::~Heap() {
+  // Boxes come from the global allocator, not the slabs, so registered
+  // cells still live when the heap dies — GC-mode garbage no collection
+  // reached — hand theirs back here. Registry entries may repeat or name
+  // freed cells; those have MayBox clear. Without a registry (RC mode) a
+  // cell live at this point is already a leak, and its boxes leak with
+  // it.
+  for (Cell *C : AllCells)
+    if (C->H.MayBox)
+      freeCellBoxes(C);
+}
 
 Cell *Heap::allocRaw(uint32_t Arity) {
   if (Arity < FreeLists.size() && FreeLists[Arity]) {
@@ -86,6 +96,7 @@ Cell *Heap::alloc(uint32_t Arity, uint32_t Tag, CellKind Kind) {
   C->H.Arity = static_cast<uint8_t>(Arity);
   C->H.Kind = Kind;
   C->H.GcMark = 0;
+  C->H.MayBox = 0;
   ++Stats.Allocs;
   ++Stats.LiveCells;
   Stats.LiveBytes += Cell::allocSize(Arity);
@@ -106,6 +117,9 @@ void Heap::release(Cell *C) {
   Stats.LiveBytes -= Cell::allocSize(C->H.Arity);
   if (!LocallyShared.empty())
     LocallyShared.erase(C);
+  // The boxes go before the free link overwrites the first field word.
+  if (C->H.MayBox)
+    releaseBoxes(C);
   uint32_t Arity = C->H.Arity;
   // rc == 0 is the freed marker; the trap-unwind walk relies on it to
   // skip stale references, so it is written in release builds too.
@@ -114,6 +128,39 @@ void Heap::release(Cell *C) {
     FreeLists.resize(Arity + 1, nullptr);
   freeListNext(C) = FreeLists[Arity];
   FreeLists[Arity] = C;
+}
+
+/// The wide-int path of initField: boxes \p V out of line. Boxes are not
+/// cells — they never touch Allocs, LiveCells or the governor, only the
+/// byte and box counters — so every other HeapStats counter is the same
+/// whether or not a program boxes.
+void Heap::boxField(Cell *C, uint32_t I, int64_t V) {
+  C->words()[I] = FieldWord::makeBox(new int64_t(V));
+  C->H.MayBox = 1;
+  ++Stats.BoxedInts;
+  Stats.LiveBytes += BoxBytes;
+  if (Stats.LiveBytes > Stats.PeakBytes)
+    Stats.PeakBytes = Stats.LiveBytes;
+  if (Sink)
+    Sink->record(RcEvent::BoxAlloc, BoxBytes);
+}
+
+void Heap::freeFieldBox(FieldWord W) {
+  if (!W.isBox())
+    return;
+  delete W.box();
+  settleFreedBoxes(1);
+}
+
+void Heap::releaseBoxes(Cell *C) { settleFreedBoxes(freeCellBoxes(C)); }
+
+/// Accounts for \p N boxes whose memory is already gone.
+void Heap::settleFreedBoxes(uint64_t N) {
+  Stats.BoxedInts -= N;
+  Stats.LiveBytes -= N * BoxBytes;
+  if (Sink)
+    for (uint64_t I = 0; I != N; ++I)
+      Sink->record(RcEvent::BoxFree, BoxBytes);
 }
 
 /// Slow path behind the single `Governed` branch in alloc: consults the
@@ -213,10 +260,10 @@ void Heap::drainDropWork() {
       // shared paths.
       Cell *Cur = SharedZero.back();
       SharedZero.pop_back();
-      Value *Fields = Cur->fields();
+      const FieldWord *Fields = Cur->words();
       for (uint32_t I = 0; I != Cur->H.Arity; ++I)
         if (Fields[I].isHeap())
-          DropStack.push_back(Fields[I].Ref);
+          DropStack.push_back(Fields[I].ref());
       if (SharedPool && !locallyShared(Cur))
         SharedPool->park(Cur);
       else
@@ -260,10 +307,10 @@ void Heap::drainDropWork() {
       Foreign = SharedPool && !locallyShared(Cur);
     }
     // Unique (or last shared reference): free, then drop the children.
-    Value *Fields = Cur->fields();
+    const FieldWord *Fields = Cur->words();
     for (uint32_t I = 0; I != Cur->H.Arity; ++I)
       if (Fields[I].isHeap())
-        DropStack.push_back(Fields[I].Ref);
+        DropStack.push_back(Fields[I].ref());
     if (Foreign)
       SharedPool->park(Cur);
     else
@@ -426,10 +473,10 @@ void Heap::markShared(Value V) {
     // foreign-cell pool.
     if (SharedPool)
       LocallyShared.insert(C);
-    Value *Fields = C->fields();
+    const FieldWord *Fields = C->words();
     for (uint32_t I = 0; I != C->H.Arity; ++I)
       if (Fields[I].isHeap())
-        Work.push_back(Fields[I].Ref);
+        Work.push_back(Fields[I].ref());
   }
 }
 
@@ -438,9 +485,8 @@ void Heap::freeMemoryOnly(Cell *C) {
 }
 
 void Heap::dropChildren(Cell *C) {
-  Value *Fields = C->fields();
   for (uint32_t I = 0; I != C->H.Arity; ++I)
-    drop(Fields[I]);
+    drop(C->field(I));
 }
 
 void Heap::resetGcThreshold() {
@@ -486,9 +532,8 @@ size_t Heap::reclaim(const std::vector<Value> &Roots) {
     push(V);
   for (size_t I = 0; I != Work.size(); ++I) {
     Cell *C = Work[I];
-    Value *Fields = C->fields();
     for (uint32_t F = 0; F != C->H.Arity; ++F)
-      push(Fields[F]);
+      push(C->field(F));
   }
   for (Cell *C : Work)
     release(C);
@@ -560,11 +605,13 @@ size_t Heap::trimRetained() {
 size_t Heap::absorbSharedFrees(SharedCellPool &Pool) {
   size_t N = 0;
   // Parked cells already carry the rc == 0 freed marker; release()
-  // re-stores it harmlessly and does the stats + free-list work.
-  Pool.drain([&](Cell *C) {
+  // re-stores it harmlessly and does the stats + free-list work. Their
+  // boxes were freed by the parking thread (park clears MayBox); only
+  // the accounting is settled here, on the heap that allocated them.
+  settleFreedBoxes(Pool.drain([&](Cell *C) {
     release(C);
     ++N;
-  });
+  }));
   return N;
 }
 
@@ -585,4 +632,5 @@ void perceus::accumulate(HeapStats &Into, const HeapStats &From) {
   Into.LiveBytes += From.LiveBytes;
   Into.PeakBytes += From.PeakBytes;
   Into.LiveCells += From.LiveCells;
+  Into.BoxedInts += From.BoxedInts;
 }

@@ -48,7 +48,10 @@ class StatsSink;
 /// entirely (a single predicted-false branch) until a limit or a fault
 /// injector is installed.
 struct HeapLimits {
-  size_t MaxLiveBytes = 0;   ///< cap on Stats.LiveBytes after an alloc
+  /// Cap on Stats.LiveBytes after an alloc. Checked at cell allocation
+  /// only: boxes stored into the new cell's fields afterwards may exceed
+  /// it by at most Heap::BoxBytes per field.
+  size_t MaxLiveBytes = 0;
   uint64_t MaxLiveCells = 0; ///< cap on Stats.LiveCells after an alloc
   uint64_t AllocBudget = 0;  ///< cap on total allocations (Stats.Allocs)
 
@@ -89,9 +92,10 @@ struct HeapStats {
   uint64_t FailedAllocs = 0;  ///< allocations refused by the governor
   uint64_t EmergencyCollections = 0; ///< GC runs forced by a limit
   uint64_t UnwindFrees = 0;   ///< cells reclaimed by trap unwinding
-  size_t LiveBytes = 0;       ///< currently allocated cell bytes (rounded)
+  size_t LiveBytes = 0;       ///< live cell bytes (allocSize) + box bytes
   size_t PeakBytes = 0;       ///< high-water mark of LiveBytes
   uint64_t LiveCells = 0;     ///< currently allocated cells
+  uint64_t BoxedInts = 0;     ///< live out-of-line int boxes (FieldWord)
 };
 
 /// Accumulates \p From into \p Into (the parallel join: per-worker stats
@@ -302,8 +306,45 @@ public:
   /// instruction after drop specialization, and token disposal).
   void freeMemoryOnly(Cell *C);
 
-  /// Drops every field of \p C (the unique path of drop-reuse).
+  /// Drops every field of \p C (the unique path of drop-reuse). Each
+  /// field is one drop call; immediate fields classify as NonHeapRcOps.
+  /// The field words, and any boxes they own, stay in place: the cell
+  /// becomes a reuse token whose unwritten fields reuse specialization
+  /// may keep.
   void dropChildren(Cell *C);
+
+  //===--- Field stores ------------------------------------------------------//
+
+  /// Bytes a box adds to LiveBytes: an int64 payload from the global
+  /// allocator, whose blocks are at least 16 bytes (16-byte aligned).
+  static constexpr size_t BoxBytes = 16;
+
+  /// Stores \p V into field \p I of \p C, whose word holds nothing live
+  /// (a fresh cell, or a reuse token after clearBoxes). An int outside
+  /// the inline range is boxed.
+  void initField(Cell *C, uint32_t I, Value V) {
+    FieldWord W;
+    if (FieldWord::encode(V, W)) [[likely]]
+      C->words()[I] = W;
+    else
+      boxField(C, I, V.Int);
+  }
+
+  /// Overwrites the live field \p I of \p C (SetField on a token, `set`
+  /// on a ref cell), freeing the box the old word owned, if any. The old
+  /// value's ownership is the caller's business, exactly as before.
+  void setField(Cell *C, uint32_t I, Value V) {
+    if (C->H.MayBox) [[unlikely]]
+      freeFieldBox(C->words()[I]);
+    initField(C, I, V);
+  }
+
+  /// Frees every box \p C's fields own, before a constructor rewrites
+  /// all of them in place (Con@ru into a token).
+  void clearBoxes(Cell *C) {
+    if (C->H.MayBox) [[unlikely]]
+      releaseBoxes(C);
+  }
 
   //===--- GC support (used by gc::MarkSweep) -------------------------------//
 
@@ -321,7 +362,8 @@ public:
   /// Re-arms the collection threshold after a sweep.
   void resetGcThreshold();
 
-  /// True when no cells are live — the garbage-free-at-exit check.
+  /// True when no cells are live — the garbage-free-at-exit check. Boxes
+  /// live only inside cells; Stats.BoxedInts counts them separately.
   bool empty() const { return Stats.LiveCells == 0; }
 
   //===--- Retained-memory control (long-lived processes) -------------------//
@@ -369,6 +411,10 @@ private:
 
   Cell *allocRaw(uint32_t Arity);
   void release(Cell *C);
+  void boxField(Cell *C, uint32_t I, int64_t V);
+  void freeFieldBox(FieldWord W);
+  void releaseBoxes(Cell *C);
+  void settleFreedBoxes(uint64_t N);
   void dropRef(Cell *C);
   void drainDropWork();
   void bufferSharedDelta(Cell *C, int32_t D);
@@ -383,7 +429,7 @@ private:
 
   /// Free cells keep their header intact (rc == 0 marks them free, and
   /// the arity stays readable for the unwind walk); the free-list link
-  /// lives in the first field slot — the shared cellFreeLink slot the
+  /// lives in the first field word — the shared cellFreeLink slot the
   /// SharedCellPool's Treiber shards also use (a cell is on at most one
   /// list at a time).
   static Cell *&freeListNext(Cell *C) { return cellFreeLink(C); }

@@ -16,9 +16,10 @@
 namespace perceus {
 
 // A freed cell must be able to carry the Treiber link in its first field
-// slot: the 16-byte allocation rounding guarantees the slot exists even
+// word: Cell::allocSize's one-word floor guarantees the word exists even
 // for arity-0 cells.
-static_assert(sizeof(CellHeader) + sizeof(Cell *) <= 16,
+static_assert(sizeof(CellHeader) + sizeof(Cell *) <=
+                  sizeof(CellHeader) + sizeof(FieldWord),
               "free-link slot must fit the minimum cell allocation");
 
 } // namespace perceus

@@ -28,6 +28,12 @@
 /// decrement observed the last reference — so the cell's link word needs
 /// no synchronization beyond the publishing CAS.
 ///
+/// Boxed ints (see FieldWord) need no parking: their memory comes from
+/// the global allocator, so the parking thread frees a cell's boxes
+/// itself — before the link overwrites the first field word — and the
+/// pool only counts them, for the owning heap to settle its byte and box
+/// counters at absorb.
+///
 /// Shards are 64-byte aligned and padded so two shards never share a
 /// cache line: under contention the per-shard heads and counters must
 /// not bounce a line between cores that are parking into different
@@ -60,14 +66,16 @@ public:
   static constexpr size_t ShardAlignment = 64;
 
   /// Parks \p C, which the calling thread just freed (it observed the
-  /// last shared reference). Writes the rc == 0 freed marker so stale
-  /// references and unwind walks skip the cell from here on, then
-  /// publishes the cell with a release CAS push.
+  /// last shared reference). Frees the cell's boxes, writes the rc == 0
+  /// freed marker so stale references and unwind walks skip the cell
+  /// from here on, then publishes the cell with a release CAS push.
   void park(Cell *C) {
     assert(!Quiesced.load(std::memory_order_relaxed) &&
            "park into a quiesced pool: a worker outlived the join");
-    C->H.Rc.store(0, std::memory_order_release);
     Shard &S = shardFor(C);
+    if (C->H.MayBox)
+      S.Boxes.fetch_add(freeCellBoxes(C), std::memory_order_relaxed);
+    C->H.Rc.store(0, std::memory_order_release);
     Cell *Old = S.Head.load(std::memory_order_relaxed);
     do {
       cellFreeLink(C) = Old;
@@ -97,10 +105,13 @@ public:
   /// Drains every parked cell into \p Consume. Each shard is detached
   /// with one acquire exchange (synchronizing with every parker's
   /// release CAS), then walked without any lock; Consume may re-link the
-  /// cell through the same slot, so the successor is read first. Used by
+  /// cell through the same slot, so the successor is read first. Returns
+  /// the number of boxes the parkers freed since the last drain. Used by
   /// Heap::absorbSharedFrees, on the owning heap, after join.
-  template <typename Fn> void drain(Fn Consume) {
+  template <typename Fn> uint64_t drain(Fn Consume) {
+    uint64_t Boxes = 0;
     for (Shard &S : Shards) {
+      Boxes += S.Boxes.exchange(0, std::memory_order_relaxed);
       Cell *C = S.Head.exchange(nullptr, std::memory_order_acquire);
       uint64_t Taken = 0;
       while (C) {
@@ -111,6 +122,7 @@ public:
       }
       S.Count.fetch_sub(Taken, std::memory_order_relaxed);
     }
+    return Boxes;
   }
 
 private:
@@ -119,13 +131,14 @@ private:
   struct alignas(ShardAlignment) Shard {
     std::atomic<Cell *> Head{nullptr};
     std::atomic<uint64_t> Count{0};
+    std::atomic<uint64_t> Boxes{0}; ///< boxes freed by parkers
   };
   static_assert(alignof(Shard) >= 64 && sizeof(Shard) % 64 == 0,
                 "shards must not share a cache line");
 
   Shard &shardFor(const Cell *C) {
-    // Cells are 16-byte aligned; mix the significant address bits.
-    auto Bits = reinterpret_cast<uintptr_t>(C) >> 4;
+    // Cells are 8-byte aligned; mix the significant address bits.
+    auto Bits = reinterpret_cast<uintptr_t>(C) >> 3;
     return Shards[(Bits ^ (Bits >> 7)) % NumShards];
   }
 

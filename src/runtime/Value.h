@@ -10,6 +10,11 @@
 /// ("value types are not heap allocated", Section 2.7.1); constructor
 /// applications and closures live in reference-counted heap cells.
 ///
+/// Two forms: `Value`, the 16-byte {kind, payload} pair that registers,
+/// locals and results use (full int64 semantics), and `FieldWord`, the
+/// 8-byte tagged word a cell stores per field. Ints that do not fit a
+/// field word's 63 bits are boxed out of line (see FieldWord).
+///
 /// The cell header encodes the reference count exactly as Section 2.7.2
 /// describes: positive counts for thread-local objects, negative counts
 /// for thread-shared ones (updated atomically), with a single fused
@@ -117,6 +122,136 @@ struct Value {
   }
 };
 
+/// Two's-complement wrapping arithmetic on the language's 64-bit ints.
+/// Overflow wraps modulo 2^64, never traps; the computation goes through
+/// uint64_t so it is defined behaviour (signed overflow is UB in C++).
+/// Every engine's Add/Sub/Mul, fused or not, calls these, so all engines
+/// wrap identically.
+inline int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+
+/// One field of a heap cell: a single tagged 64-bit word. Registers,
+/// locals and results keep the 16-byte `Value`; only cell fields use this
+/// compact form, so a cell of arity a is a header plus a words. Stores
+/// encode (Heap::initField / Heap::setField), loads decode (Cell::field).
+///
+/// Encoding, by the low three bits:
+///
+///   xx1  inline int: the value is `Bits >> 1` (arithmetic), which covers
+///        [-2^62, 2^62 - 1]
+///   000  heap reference: the Cell pointer itself (cells are 8-aligned)
+///   010  boxed int: `Bits - 2` points to an out-of-line int64 box that
+///        this word owns (see below)
+///   100  other immediate: bits 3..7 hold the ValueKind (Unit, Bool,
+///        Enum, FnRef, Token), bits 8..63 the Value's 56-bit payload
+///   110  raw pointer (the closure code pointer), 8-aligned, `Bits - 6`
+///
+/// An int outside the inline range is boxed, never truncated: the word
+/// points to a heap-allocated int64 that lives exactly as long as the
+/// word holds it. Overwriting the word (Heap::setField) or freeing the
+/// cell frees the box; a box is never shared between words, and decoding
+/// copies its value into a plain Value::makeInt, so registers never
+/// hold a box. A cell whose words may own a box carries the MayBox
+/// header flag, which keeps every free path a single predicted-false
+/// branch for box-free cells.
+struct FieldWord {
+  uint64_t Bits;
+
+  static constexpr uint64_t TagMask = 7;
+  static constexpr uint64_t RefTag = 0;
+  static constexpr uint64_t BoxTag = 2;
+  static constexpr uint64_t ImmTag = 4;
+  static constexpr uint64_t RawTag = 6;
+  static constexpr int64_t MinInline = -(int64_t(1) << 62);
+  static constexpr int64_t MaxInline = (int64_t(1) << 62) - 1;
+
+  /// True iff \p V fits an inline int word.
+  static bool fitsInline(int64_t V) {
+    return V >= MinInline && V <= MaxInline;
+  }
+
+  bool isHeap() const { return (Bits & TagMask) == RefTag; }
+  bool isBox() const { return (Bits & TagMask) == BoxTag; }
+  Cell *ref() const {
+    assert(isHeap());
+    return reinterpret_cast<Cell *>(Bits);
+  }
+  int64_t *box() const {
+    assert(isBox());
+    return reinterpret_cast<int64_t *>(Bits - BoxTag);
+  }
+
+  static FieldWord makeBox(int64_t *B) {
+    assert((reinterpret_cast<uintptr_t>(B) & TagMask) == 0);
+    return {reinterpret_cast<uint64_t>(B) | BoxTag};
+  }
+
+  /// Encodes \p V into \p W. Returns false (leaving \p W unset) only for
+  /// an int outside the inline range, which the caller must box. The
+  /// hot kinds (heap references, then ints) are tested first; every
+  /// other immediate shares one shift-and-tag form whose payload is the
+  /// Value's own bits, which must fit 56 bits (an enum's data id below
+  /// 2^24, a token's address below 2^56).
+  static bool encode(Value V, FieldWord &W) {
+    if (V.Kind == ValueKind::HeapRef) {
+      assert(V.Ref && (V.Bits & TagMask) == 0 && "cells are 8-aligned");
+      W.Bits = V.Bits;
+      return true;
+    }
+    if (V.Kind == ValueKind::Int) {
+      if (!fitsInline(V.Int)) [[unlikely]]
+        return false;
+      W.Bits = (static_cast<uint64_t>(V.Int) << 1) | 1;
+      return true;
+    }
+    if (V.Kind == ValueKind::Raw) {
+      assert((V.Bits & TagMask) == 0 && "code pointers must be 8-aligned");
+      W.Bits = V.Bits | RawTag;
+      return true;
+    }
+    assert(V.Bits < (uint64_t(1) << 56) && "immediate payload too wide");
+    W.Bits = (V.Bits << 8) | (static_cast<uint64_t>(V.Kind) << 3) | ImmTag;
+    return true;
+  }
+
+  /// Decodes to a plain Value; a boxed int decodes to its full value.
+  Value decode() const {
+    Value V;
+    if (Bits & 1) {
+      V.Kind = ValueKind::Int;
+      V.Int = static_cast<int64_t>(Bits) >> 1;
+      return V;
+    }
+    uint64_t Tag = Bits & TagMask;
+    if (Tag == RefTag) {
+      V.Kind = ValueKind::HeapRef;
+      V.Bits = Bits;
+    } else if (Tag == ImmTag) {
+      V.Kind = static_cast<ValueKind>((Bits >> 3) & 31);
+      V.Bits = Bits >> 8;
+    } else if (Tag == BoxTag) {
+      V.Kind = ValueKind::Int;
+      V.Int = *box();
+    } else {
+      V.Kind = ValueKind::Raw;
+      V.Bits = Bits - RawTag;
+    }
+    return V;
+  }
+};
+
+static_assert(sizeof(FieldWord) == 8, "a field is one word");
+
 /// What a heap cell holds.
 enum class CellKind : uint8_t {
   Ctor,    ///< constructor: fields are the constructor arguments
@@ -144,42 +279,63 @@ struct CellHeader {
   uint8_t Tag = 0;
   uint8_t Arity = 0;
   CellKind Kind = CellKind::Ctor;
-  uint8_t GcMark = 0;
+  uint8_t GcMark : 1 = 0;
+  /// Some field word may own a box (FieldWord). Set when a box is
+  /// stored, cleared when the boxes are freed; a clear flag lets every
+  /// free path skip the field scan.
+  uint8_t MayBox : 1 = 0;
 };
 
-/// A heap cell: header plus inline fields.
+/// A heap cell: header plus inline field words.
 struct Cell {
   CellHeader H;
-  // Fields follow the header inline; use fields() to access them.
+  // Field words follow the header inline.
 
-  Value *fields() { return reinterpret_cast<Value *>(this + 1); }
-  const Value *fields() const {
-    return reinterpret_cast<const Value *>(this + 1);
+  FieldWord *words() { return reinterpret_cast<FieldWord *>(this + 1); }
+  const FieldWord *words() const {
+    return reinterpret_cast<const FieldWord *>(this + 1);
   }
 
-  /// Total byte size of a cell with \p Arity fields.
-  static size_t byteSize(uint32_t Arity) {
-    return sizeof(Cell) + Arity * sizeof(Value);
-  }
+  /// Field \p I decoded to a Value (a copy; ownership is unchanged).
+  Value field(uint32_t I) const { return words()[I].decode(); }
 
-  /// Slab bytes a cell with \p Arity fields actually consumes: byteSize
-  /// rounded up to the 16-byte Value alignment the allocator bumps by.
-  /// All live/peak-byte accounting uses this quantity so the statistics
-  /// reflect real memory, not the unrounded struct size.
+  /// Slab bytes a cell with \p Arity fields consumes: the 8-byte header
+  /// plus one word per field, with a floor of one word so every cell has
+  /// the slot the free link lives in (cellFreeLink). The allocator bumps
+  /// by exactly this size (cells are 8-aligned), and all live/peak-byte
+  /// accounting uses it.
   static size_t allocSize(uint32_t Arity) {
-    return (byteSize(Arity) + 15) & ~size_t(15);
+    return sizeof(Cell) + sizeof(FieldWord) * (Arity ? Arity : 1);
   }
 };
 
 static_assert(sizeof(Value) == 16, "Value should stay two words");
+static_assert(sizeof(Cell) == 8, "the cell header is one word");
+
+/// Frees every box \p C's field words own and clears its MayBox flag.
+/// Returns the number of boxes freed. The caller settles the statistics
+/// (Heap::releaseBoxes, or the owner via the SharedCellPool count).
+inline uint32_t freeCellBoxes(Cell *C) {
+  uint32_t N = 0;
+  FieldWord *W = C->words();
+  for (uint32_t I = 0; I != C->H.Arity; ++I)
+    if (W[I].isBox()) {
+      delete W[I].box();
+      ++N;
+    }
+  C->H.MayBox = 0;
+  return N;
+}
 
 /// The free-link of a freed cell. Free cells keep their header intact
 /// (rc == 0 is the freed marker, and the arity stays readable for the
-/// trap-unwind walk), so the link lives in the first field slot — which
-/// every cell has thanks to the 16-byte allocation rounding. The same
-/// slot serves the heap's single-threaded per-arity free lists and the
-/// SharedCellPool's lock-free Treiber shards: a cell is on at most one
-/// of them at a time (exactly one thread ever frees a given cell).
+/// trap-unwind walk), so the link lives in the first field word — which
+/// every cell has thanks to the one-word floor in Cell::allocSize. The
+/// same slot serves the heap's single-threaded per-arity free lists and
+/// the SharedCellPool's lock-free Treiber shards: a cell is on at most
+/// one of them at a time (exactly one thread ever frees a given cell).
+/// Any boxes the cell owned are freed before the link overwrites the
+/// slot.
 inline Cell *&cellFreeLink(Cell *C) {
   return *reinterpret_cast<Cell **>(reinterpret_cast<char *>(C) +
                                     sizeof(CellHeader));

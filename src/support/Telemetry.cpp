@@ -30,6 +30,10 @@ const char *rcEventName(RcEvent E) {
     return "reuse_hit";
   case RcEvent::ReuseMiss:
     return "reuse_miss";
+  case RcEvent::BoxAlloc:
+    return "box_alloc";
+  case RcEvent::BoxFree:
+    return "box_free";
   }
   return "?";
 }
@@ -40,10 +44,12 @@ void CountingSink::record(RcEvent E, size_t Bytes) {
   ++Counts[static_cast<unsigned>(E)];
   switch (E) {
   case RcEvent::Alloc:
+  case RcEvent::BoxAlloc:
     ShadowLive += Bytes;
     ShadowPeak = std::max(ShadowPeak, ShadowLive);
     break;
   case RcEvent::Free:
+  case RcEvent::BoxFree:
     // A free larger than the shadow balance means the heap freed bytes
     // the sink never saw allocated — clamp so the mismatch shows up as
     // a live-byte discrepancy rather than wraparound.

@@ -33,7 +33,11 @@
 ///     sink can shadow the heap's LiveBytes/PeakBytes accounting.
 ///   ReuseHit / ReuseMiss — reuse-token consumption in `Con@ru`. A hit
 ///     deliberately emits neither Alloc nor Free: in-place reuse must
-///     leave LiveBytes unchanged (the satellite-6 invariant).
+///     leave LiveBytes unchanged.
+///   BoxAlloc / BoxFree — lifetime of an out-of-line int box owned by a
+///     cell field (runtime/Value.h FieldWord), with its byte size: boxes
+///     count toward LiveBytes but are not cells, so they are not Alloc or
+///     Free events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,9 +66,11 @@ enum class RcEvent : uint8_t {
   Free,
   ReuseHit,
   ReuseMiss,
+  BoxAlloc,
+  BoxFree,
 };
 
-constexpr unsigned NumRcEvents = 8;
+constexpr unsigned NumRcEvents = 10;
 
 /// Printable name of an event kind ("dup", "alloc", ...).
 const char *rcEventName(RcEvent E);
@@ -86,8 +92,8 @@ public:
     CurLoc = Loc;
   }
 
-  /// Records one event. \p Bytes is the payload size for Alloc/Free and
-  /// ReuseHit, zero otherwise.
+  /// Records one event. \p Bytes is the payload size for Alloc/Free,
+  /// BoxAlloc/BoxFree and ReuseHit, zero otherwise.
   virtual void record(RcEvent E, size_t Bytes) = 0;
 
 protected:
@@ -97,10 +103,10 @@ protected:
 };
 
 /// Sink that only tallies event totals, plus a shadow byte ledger
-/// reconstructed purely from Alloc/Free events. The stats-invariant and
-/// reuse-accounting tests compare these against the heap's own counters:
-/// if the heap ever double-counts a reuse or leaks an alloc past the
-/// hook, the two ledgers disagree.
+/// reconstructed purely from Alloc/Free and BoxAlloc/BoxFree events.
+/// The stats-invariant and reuse-accounting tests compare these against
+/// the heap's own counters: if the heap ever double-counts a reuse or
+/// leaks an alloc past the hook, the two ledgers disagree.
 class CountingSink : public StatsSink {
 public:
   void record(RcEvent E, size_t Bytes) override;

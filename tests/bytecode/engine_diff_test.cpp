@@ -61,6 +61,110 @@ std::vector<DiffCase> diffCases() {
   };
 }
 
+/// Every kind of field word a cell can hold, through every store path:
+/// ints at the inline/boxed boundaries (the entry argument is 2^62 - 1,
+/// the largest inline int), bools, enum tags, function references,
+/// closure captures and ref-cell contents; built fresh, reused in place
+/// with the boxed head kept (keep-heads), rewritten through a token
+/// (map on a unique list), copied off a shared list (map on a list that
+/// is still used), overwritten by `set-ref`, and dropped with the reuse
+/// token unused (negatives). The result pairs the surviving list with a
+/// wrapping checksum, so the structural checksum decodes wide fields
+/// too.
+const char *wideFieldsSource() {
+  return R"(
+type list {
+  Cons(h, t)
+  Nil
+}
+
+type color {
+  Red
+  Green
+}
+
+type item {
+  It(i, b, c, f, g)
+}
+
+type pair {
+  P(a, b)
+}
+
+fun bounds(n) {
+  Cons(0, Cons(n, Cons(0 - n, Cons(n + 1, Cons(0 - n - 1, Cons(0 - n - 2,
+    Cons(n + n + 1, Cons(0 - n - n - 2, Nil))))))))
+}
+
+fun inc(x) { x + 1 }
+
+fun keep-heads(xs) {
+  match xs {
+    Cons(h, t) -> Cons(h, keep-heads(t))
+    Nil -> Nil
+  }
+}
+
+fun map(xs, f) {
+  match xs {
+    Cons(h, t) -> Cons(f(h), map(t, f))
+    Nil -> Nil
+  }
+}
+
+fun negatives(xs) {
+  match xs {
+    Cons(h, t) -> if h < 0 then Cons(h, negatives(t)) else negatives(t)
+    Nil -> Nil
+  }
+}
+
+fun sum(xs, acc) {
+  match xs {
+    Cons(h, t) -> sum(t, acc + h)
+    Nil -> acc
+  }
+}
+
+fun items(xs, big) {
+  match xs {
+    Cons(h, t) -> {
+      val c = if h < 0 then Red else Green
+      Cons(It(h, h < 0, c, inc, fn(x) { x + big + h }), items(t, big))
+    }
+    Nil -> Nil
+  }
+}
+
+fun score(xs, acc) {
+  match xs {
+    Cons(it, t) -> match it {
+      It(i, b, c, f, g) -> {
+        val cv = match c {
+          Red -> 3
+          Green -> 5
+        }
+        val bv = if b then 7 else 11
+        score(t, acc * 31 + i + cv + bv + f(i) + g(1))
+      }
+    }
+    Nil -> acc
+  }
+}
+
+fun main(n) {
+  val kept = keep-heads(bounds(n))
+  val copied = map(kept, inc)
+  val r = ref(n + n + 1)
+  set-ref(r, deref(r) + sum(copied, 0))
+  set-ref(r, 0 - n - n - 2)
+  val s = score(items(kept, n + 1), 0)
+  val neg = negatives(map(bounds(n), fn(x) { x - 1 }))
+  P(neg, s + deref(r))
+}
+)";
+}
+
 std::vector<std::pair<const char *, PassConfig>> allConfigs() {
   return {{"perceus", PassConfig::perceusFull()},
           {"perceus-noopt", PassConfig::perceusNoOpt()},
@@ -91,7 +195,7 @@ uint64_t checksumValue(Value V) {
       return 0xC105;
     uint64_t H = mix(1, C->H.Tag);
     for (uint32_t I = 0; I != C->H.Arity; ++I)
-      H = mix(H, checksumValue(C->fields()[I]));
+      H = mix(H, checksumValue(C->field(I)));
     return H;
   }
   default:
@@ -119,7 +223,8 @@ Observed runOn(const DiffCase &C, const PassConfig &Config,
       [&](Value V) { O.Checksum = checksumValue(V); });
   O.Run = R.callInt(C.Entry, {C.N});
   O.Heap = R.heap().stats();
-  O.HeapEmpty = R.heapIsEmpty();
+  // Garbage free includes the out-of-line int boxes cell fields own.
+  O.HeapEmpty = R.heapIsEmpty() && O.Heap.BoxedInts == 0;
   return O;
 }
 
@@ -190,6 +295,7 @@ void expectEqualObservations(const Observed &Cek, const Observed &Vm,
     EXPECT_EQ(H.LiveBytes, G.LiveBytes);
     EXPECT_EQ(H.PeakBytes, G.PeakBytes);
     EXPECT_EQ(H.LiveCells, G.LiveCells);
+    EXPECT_EQ(H.BoxedInts, G.BoxedInts);
     EXPECT_EQ(Cek.Run.UnwoundCells, Vm.Run.UnwoundCells);
     EXPECT_EQ(Cek.HeapEmpty, Vm.HeapEmpty);
   }
@@ -243,6 +349,7 @@ TEST(EngineDiff, FaultSweepTrapsAtTheSamePointOnBothEngines) {
   std::vector<DiffCase> Cases = {
       {"rbtree", rbtreeSource(), "bench_rbtree", 16},
       {"msort", msortSource(), "bench_msort", 12},
+      {"wide-fields", wideFieldsSource(), "main", FieldWord::MaxInline},
   };
   for (const DiffCase &C : Cases) {
     for (const auto &[Name, Config] : allConfigs()) {
@@ -369,6 +476,90 @@ TEST(EngineDiff, OverflowBoundaryNeighborsStillSucceed) {
         RunResult Res = R.callInt("main", {C.N});
         ASSERT_TRUE(Res.Ok) << Res.Error;
         EXPECT_EQ(Res.Result.Int, C.Expect);
+      }
+    }
+  }
+}
+
+/// Wide ints in cell fields, differentially: the boxed-field program
+/// must give the same checksum, the same HeapStats (byte counters
+/// included — boxes are accounted identically) and the same RC counts on
+/// the CEK machine, the plain VM and the peepholed VM, and leave no cell
+/// and no box behind in every RC configuration.
+TEST(EngineDiff, WideIntFieldsAgreeAndFreeEveryBox) {
+  DiffCase C{"wide-fields", wideFieldsSource(), "main", FieldWord::MaxInline};
+  for (const auto &[Name, Config] : allConfigs()) {
+    SCOPED_TRACE(Name);
+    bool GcMode = Config.Mode == RcMode::None;
+    Observed Cek = runOn(C, Config, EngineKind::Cek);
+    Observed Vm = runOn(C, Config, EngineKind::Vm);
+    Observed Peep = runOn(C, Config, EngineKind::Vm, nullptr,
+                          /*Peephole=*/true);
+    ASSERT_TRUE(Cek.Run.Ok) << Cek.Run.Error;
+    EXPECT_EQ(Cek.Run.Result.Kind, ValueKind::HeapRef);
+    expectEqualObservations(Cek, Vm, GcMode);
+    expectEqualObservations(Cek, Peep, GcMode, /*Semantic=*/true);
+    if (!GcMode) {
+      EXPECT_TRUE(Cek.HeapEmpty);
+      EXPECT_TRUE(Vm.HeapEmpty);
+      EXPECT_TRUE(Peep.HeapEmpty);
+      if (Config.EnableReuse)
+        EXPECT_GT(Cek.Run.ReuseHits, 0u);
+    }
+  }
+  // Sanity: the program really boxes. One entry argument past the
+  // inline range must change the checksum (the values differ), and
+  // peak bytes must exceed the all-inline run's by the boxes' bytes.
+  DiffCase Past = C;
+  Past.N = FieldWord::MaxInline + 1;
+  Observed A = runOn(C, PassConfig::perceusFull(), EngineKind::Vm);
+  Observed B = runOn(Past, PassConfig::perceusFull(), EngineKind::Vm);
+  EXPECT_NE(A.Checksum, B.Checksum);
+  EXPECT_EQ(A.Heap.Allocs, B.Heap.Allocs);
+  EXPECT_GT(B.Heap.PeakBytes, A.Heap.PeakBytes);
+  EXPECT_TRUE(B.HeapEmpty);
+}
+
+/// Add, Sub and Mul wrap modulo 2^64 on every engine and in every fused
+/// arithmetic form (the ArithConst family covers `n + 1`, `n - 1`,
+/// `1 - n` and `n * 4`). The computation must be defined behaviour: the
+/// UBSan job runs this test, so a native signed overflow aborts it.
+TEST(EngineDiff, IntegerOverflowWrapsIdenticallyOnEveryEngine) {
+  struct WrapCase {
+    const char *Source;
+    std::vector<int64_t> Args;
+    int64_t Expect;
+  };
+  const int64_t P62 = int64_t(1) << 62;
+  std::vector<WrapCase> Cases = {
+      {"fun main(a, b) { a + b }", {INT64_MAX, 1}, INT64_MIN},
+      {"fun main(a, b) { a - b }", {INT64_MIN, 1}, INT64_MAX},
+      {"fun main(a, b) { a * b }", {P62, 4}, 0},
+      {"fun main(n) { n + 1 }", {INT64_MAX}, INT64_MIN},
+      {"fun main(n) { n - 1 }", {INT64_MIN}, INT64_MAX},
+      {"fun main(n) { 1 - n }", {INT64_MIN}, INT64_MIN + 1},
+      {"fun main(n) { n * 4 }", {P62}, 0},
+      {"fun main(a, b) { val c = a + b; c * 2 }", {INT64_MAX, 1}, 0},
+  };
+  for (const WrapCase &C : Cases) {
+    for (const auto &[CfgName, Config] : allConfigs()) {
+      for (bool Peephole : {false, true}) {
+        for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm}) {
+          if (Peephole && Engine == EngineKind::Cek)
+            continue;
+          SCOPED_TRACE(std::string(C.Source) + " / " + CfgName +
+                       (Engine == EngineKind::Cek ? " / cek"
+                        : Peephole               ? " / vm-peep"
+                                                 : " / vm"));
+          EngineConfig EC =
+              EngineConfig{}.withEngine(Engine).withPeephole(Peephole);
+          Runner R(C.Source, Config, EC);
+          ASSERT_TRUE(R.ok()) << R.diagnostics().str();
+          RunResult Res = R.callInt("main", C.Args);
+          ASSERT_TRUE(Res.Ok) << Res.Error;
+          EXPECT_EQ(Res.Result.Kind, ValueKind::Int);
+          EXPECT_EQ(Res.Result.Int, C.Expect);
+        }
       }
     }
   }

@@ -40,8 +40,8 @@ Value buildTree(Heap &H, int Depth, std::vector<Cell *> &Nodes) {
   Value L = buildTree(H, Depth - 1, Nodes);
   Value R = buildTree(H, Depth - 1, Nodes);
   Cell *N = H.alloc(2, 1, CellKind::Ctor);
-  N->fields()[0] = L;
-  N->fields()[1] = R;
+  H.initField(N, 0, L);
+  H.initField(N, 1, R);
   Nodes.push_back(N);
   return Value::makeRef(N);
 }
@@ -87,6 +87,66 @@ TEST(SharedRcStress, DupDropDecrefStormLeavesCountsBalanced) {
   EXPECT_TRUE(Owner.empty()) << "owner's reference was the last";
 }
 
+/// Like buildTree, but every node also holds a wide int (boxed out of
+/// line) and every leaf one: arity-3 nodes (left, int, right), arity-1
+/// leaves. Returns the root; \p Boxes counts the boxed fields.
+Value buildBoxedTree(Heap &H, int Depth, uint64_t &Boxes) {
+  int64_t Wide = INT64_MAX - Depth; // far outside the 63-bit inline range
+  if (Depth == 0) {
+    Cell *Leaf = H.alloc(1, 0, CellKind::Ctor);
+    H.initField(Leaf, 0, Value::makeInt(Wide));
+    ++Boxes;
+    return Value::makeRef(Leaf);
+  }
+  Value L = buildBoxedTree(H, Depth - 1, Boxes);
+  Value R = buildBoxedTree(H, Depth - 1, Boxes);
+  Cell *N = H.alloc(3, 1, CellKind::Ctor);
+  H.initField(N, 0, L);
+  H.initField(N, 1, Value::makeInt(-Wide));
+  H.initField(N, 2, R);
+  ++Boxes;
+  return Value::makeRef(N);
+}
+
+TEST(SharedRcStress, LastReferenceRaceFreesSharedBoxesExactlyOnce) {
+  // A shared tree whose fields own boxed ints: the racer that observes
+  // the last reference parks every cell and frees every box; the owner
+  // settles the box accounting at absorb and ends with no cell, no box
+  // and no byte live.
+  constexpr int Rounds = 100;
+  Heap Owner;
+  for (int R = 0; R != Rounds; ++R) {
+    uint64_t Boxes = 0;
+    Value Root = buildBoxedTree(Owner, 4, Boxes);
+    ASSERT_EQ(Owner.stats().BoxedInts, Boxes);
+    Owner.markShared(Root);
+    for (int T = 1; T != NumThreads; ++T)
+      Owner.dup(Root);
+
+    SharedCellPool Pool;
+    std::vector<std::thread> Threads;
+    for (int T = 0; T != NumThreads; ++T) {
+      Threads.emplace_back([&] {
+        Heap H;
+        H.setSharedPool(&Pool);
+        // Read a boxed field through the shared root before letting go.
+        EXPECT_EQ(Root.Ref->field(1).Int, -(INT64_MAX - 4));
+        H.drop(Root);
+        EXPECT_TRUE(H.empty());
+        EXPECT_EQ(H.stats().BoxedInts, 0u) << "boxes settle on the owner";
+      });
+    }
+    for (std::thread &T : Threads)
+      T.join();
+
+    EXPECT_EQ(Pool.parkedCells(), 31u) << "15 nodes + 16 leaves, once each";
+    EXPECT_EQ(Owner.absorbSharedFrees(Pool), 31u);
+    EXPECT_EQ(Owner.stats().BoxedInts, 0u);
+    EXPECT_EQ(Owner.stats().LiveBytes, 0u);
+    EXPECT_TRUE(Owner.empty());
+  }
+}
+
 TEST(SharedRcStress, LastReferenceRaceFreesExactlyOnce) {
   // Give each of 8 threads one reference to a two-cell structure and let
   // them race the final drop: exactly one thread observes the last
@@ -96,7 +156,7 @@ TEST(SharedRcStress, LastReferenceRaceFreesExactlyOnce) {
   for (int R = 0; R != Rounds; ++R) {
     Cell *Child = Owner.alloc(0, 0, CellKind::Ctor);
     Cell *Parent = Owner.alloc(1, 0, CellKind::Ctor);
-    Parent->fields()[0] = Value::makeRef(Child);
+    Owner.initField(Parent, 0, Value::makeRef(Child));
     Value Root = Value::makeRef(Parent);
     Owner.markShared(Root);
     // The owner hands its reference plus NumThreads - 1 fresh dups to
@@ -221,7 +281,7 @@ TEST(SharedRcStress, CoalescedLastReferenceRaceFreesExactlyOnce) {
   for (int R = 0; R != Rounds; ++R) {
     Cell *Child = Owner.alloc(0, 0, CellKind::Ctor);
     Cell *Parent = Owner.alloc(1, 0, CellKind::Ctor);
-    Parent->fields()[0] = Value::makeRef(Child);
+    Owner.initField(Parent, 0, Value::makeRef(Child));
     Value Root = Value::makeRef(Parent);
     Owner.markShared(Root);
     for (int T = 1; T != NumThreads; ++T)
@@ -323,7 +383,7 @@ TEST(SharedRcStress, ConcurrentDecrefRaceOnSharedList) {
     Value Head = Value::makeRef(Owner.alloc(0, 0, CellKind::Ctor));
     for (int I = 1; I != Len; ++I) {
       Cell *C = Owner.alloc(1, 0, CellKind::Ctor);
-      C->fields()[0] = Head;
+      Owner.initField(C, 0, Head);
       Head = Value::makeRef(C);
     }
     Owner.markShared(Head);

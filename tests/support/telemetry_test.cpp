@@ -233,6 +233,45 @@ TEST(StatsJson, BenchReportValidatesAgainstItsSchema) {
   EXPECT_NE(bench::validateBenchJson("not json"), "");
 }
 
+TEST(StatsJson, BenchReportCarriesAFingerprint) {
+  // Every document says where it was measured: host, compiler, build
+  // type and commit. A document without one, or with an empty field,
+  // is a schema violation.
+  const bench::Fingerprint &FP = bench::hostFingerprint();
+  EXPECT_FALSE(FP.Host.empty());
+  EXPECT_GT(FP.Nproc, 0u);
+  EXPECT_FALSE(FP.Compiler.empty());
+  EXPECT_FALSE(FP.BuildType.empty());
+  EXPECT_FALSE(FP.Commit.empty());
+  bench::Measurement M;
+  M.Ran = true;
+  bench::BenchReport Report("unittest", 1.0);
+  Report.add("none", "none", M);
+  std::string Doc = Report.json();
+  ASSERT_EQ(bench::validateBenchJson(Doc), "");
+  std::optional<JsonValue> Parsed = parseJson(Doc);
+  ASSERT_TRUE(Parsed);
+  const JsonValue *Obj = Parsed->find("fingerprint", JsonValue::Kind::Object);
+  ASSERT_NE(Obj, nullptr);
+  for (const char *Key :
+       {"host", "cpu_model", "compiler", "build_type", "commit"})
+    EXPECT_NE(Obj->find(Key, JsonValue::Kind::String), nullptr) << Key;
+  EXPECT_NE(Obj->find("nproc", JsonValue::Kind::Number), nullptr);
+
+  std::string Missing = Doc;
+  size_t Pos = Missing.find("\"fingerprint\"");
+  ASSERT_NE(Pos, std::string::npos);
+  Missing.replace(Pos, std::strlen("\"fingerprint\""), "\"fingerprnt\"");
+  EXPECT_NE(bench::validateBenchJson(Missing), "");
+
+  std::string Empty = Doc;
+  std::string Commit = "\"commit\":\"" + FP.Commit + "\"";
+  Pos = Empty.find(Commit);
+  ASSERT_NE(Pos, std::string::npos);
+  Empty.replace(Pos, Commit.size(), "\"commit\":\"\"");
+  EXPECT_NE(bench::validateBenchJson(Empty), "");
+}
+
 TEST(StatsJson, ValidatorPinsTheTrapNameVocabulary) {
   // The schema's trap set is closed: "deadline" (the service's
   // wall-clock trap) is a member, and an unknown name is a violation —
