@@ -20,9 +20,10 @@
 ///   --stats           print heap/machine statistics after the run
 ///   --stats-json=FILE run, then dump heap stats, run stats, and the
 ///                     per-site RC event table as JSON to FILE
-///   --pass-stats      print static dup/drop/reuse instruction counts
-///                     after each pipeline pass (plus the bytecode
-///                     peephole report with --engine=vm), then exit
+///   --pass-stats      print static dup/drop/reuse instruction counts and
+///                     the wall time (ms) of each pipeline pass (plus the
+///                     bytecode peephole report with --engine=vm), then
+///                     exit
 ///   --dump=FN         print FN after the pipeline instead of running
 ///   --stages=FN       print FN at every Figure 1 pipeline stage
 ///   --fuel=N          trap after N machine steps (out-of-fuel)
@@ -173,20 +174,21 @@ bool parseCount(const char *A, const char *Flag, uint64_t &Out) {
 }
 
 void printPassStats(const std::vector<PassStat> &Stats) {
-  std::printf("%-34s %6s %6s %6s %7s %8s %7s %7s %6s %7s\n", "pass", "dup",
-              "drop", "free", "decref", "is-uniq", "drop-ru", "con@ru",
-              "token", "nodes");
+  std::printf("%-34s %6s %6s %6s %7s %8s %7s %7s %6s %7s %8s\n", "pass",
+              "dup", "drop", "free", "decref", "is-uniq", "drop-ru", "con@ru",
+              "token", "nodes", "ms");
   for (const PassStat &S : Stats) {
     const IrOpCounts &C = S.Counts;
     std::printf("%-34s %6llu %6llu %6llu %7llu %8llu %7llu %7llu %6llu "
-                "%7llu\n",
+                "%7llu %8.3f\n",
                 S.Pass.c_str(), (unsigned long long)C.Dups,
                 (unsigned long long)C.Drops, (unsigned long long)C.Frees,
                 (unsigned long long)C.DecRefs,
                 (unsigned long long)C.IsUniques,
                 (unsigned long long)C.DropReuses,
                 (unsigned long long)C.ReuseCons,
-                (unsigned long long)C.TokenOps, (unsigned long long)C.Nodes);
+                (unsigned long long)C.TokenOps, (unsigned long long)C.Nodes,
+                S.Ms);
   }
 }
 

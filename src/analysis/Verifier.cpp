@@ -60,8 +60,7 @@ public:
     case ExprKind::Lam: {
       const auto *L = cast<LamExpr>(E);
       // The capture list must be exactly the free variables of the lambda.
-      FreeVarAnalysis FV;
-      VarSet BodyFree = FV.freeVars(L->body());
+      VarSet BodyFree(FV.freeVars(L->body()));
       for (Symbol Pm : L->params())
         BodyFree.erase(Pm);
       VarSet Caps;
@@ -223,6 +222,7 @@ public:
 
   void checkFunction(FuncId F) {
     const FunctionDecl &Fn = P.function(F);
+    FV.clear();
     if (!Fn.Body) {
       error("function '" + name(Fn.Name) + "' has no body");
       return;
@@ -236,6 +236,9 @@ public:
 private:
   const Program &P;
   std::unordered_set<Symbol> AllBinders;
+  /// One table per function: a nested lambda's body is tabled by the
+  /// walk of the outermost one, so it is never walked again.
+  FreeVarAnalysis FV;
 };
 
 } // namespace

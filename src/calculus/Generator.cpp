@@ -25,6 +25,7 @@ public:
   Program &P;
   IRBuilder B;
   Rng &R;
+  FreeVarAnalysis FV;
   CtorId Atom = InvalidId, Wrap = InvalidId, Pair = InvalidId;
   std::vector<std::pair<Symbol, Ty>> Env;
 
@@ -139,8 +140,7 @@ public:
     const Expr *Body = genBox(Depth == 0 ? 0 : Depth - 1);
     Env.pop_back();
     // Captures are the free variables of the body minus the parameter.
-    FreeVarAnalysis FV;
-    VarSet Free = FV.freeVars(Body);
+    VarSet Free(FV.freeVars(Body));
     Free.erase(X);
     std::vector<Symbol> Caps(Free.begin(), Free.end());
     Symbol Params[1] = {X};

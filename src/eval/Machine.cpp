@@ -9,7 +9,16 @@
 #include "support/Casting.h"
 #include "support/Telemetry.h"
 
+#include <limits>
+
 using namespace perceus;
+
+// The resolver's program limits are what keep cell headers exact.
+static_assert(MaxCtorFields ==
+              std::numeric_limits<decltype(CellHeader::Arity)>::max());
+static_assert(MaxCtorsPerType ==
+              std::numeric_limits<decltype(CellHeader::Tag)>::max() + 1u);
+static_assert(MaxLambdaCaptures + 1 == MaxCtorFields);
 
 Machine::Machine(const Program &P, const ProgramLayout &Layout, Heap &H)
     : P(P), Layout(Layout), H(H) {}

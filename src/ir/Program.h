@@ -25,6 +25,15 @@
 
 namespace perceus {
 
+/// Program limits set by the heap cell header (runtime/Value.h,
+/// CellHeader), which stores a cell's field count and constructor tag in
+/// one byte each. The resolver rejects programs beyond them, so the heap
+/// never truncates a header and every cell fits one slab.
+constexpr uint32_t MaxCtorFields = 255;     ///< fields of one constructor
+constexpr uint32_t MaxCtorsPerType = 256;   ///< tags 0..255
+constexpr uint32_t MaxLambdaCaptures = 254; ///< a closure cell holds the
+                                            ///< code word + the captures
+
 /// One constructor of an algebraic data type.
 ///
 /// Nullary constructors (like `Nil`, `Red`, `Black`) are *enum-like*: they

@@ -10,6 +10,37 @@
 
 using namespace perceus;
 
+namespace {
+
+bool unchanged(const Expr *Old, const Expr *New) { return Old == New; }
+bool unchanged(const MatchArm &Old, const MatchArm &New) {
+  return Old.Body == New.Body;
+}
+
+/// Applies \p Map to each of \p Kids in order. The results are collected
+/// in \p Out only from the first one that differs from its input (the
+/// unchanged prefix is copied then), so a node whose children all stay
+/// put costs no allocation. Returns whether any child changed. Forced
+/// inline: passes recurse through mapChildren, and a frame of its own
+/// would cost stack on every nesting level.
+template <typename T, typename MapOne>
+[[gnu::always_inline]] inline bool mapAll(std::span<const T> Kids,
+                                          std::vector<T> &Out, MapOne &&Map) {
+  bool Changed = false;
+  for (size_t I = 0; I != Kids.size(); ++I) {
+    T K = Map(Kids[I]);
+    if (!Changed && !unchanged(Kids[I], K)) {
+      Changed = true;
+      Out.assign(Kids.begin(), Kids.begin() + I);
+    }
+    if (Changed)
+      Out.push_back(K);
+  }
+  return Changed;
+}
+
+} // namespace
+
 const Expr *perceus::mapChildren(
     IRBuilder &B, const Expr *E,
     const std::function<const Expr *(const Expr *)> &Fn) {
@@ -34,16 +65,13 @@ const Expr *perceus::mapChildren(
   case ExprKind::App: {
     const auto *A = cast<AppExpr>(E);
     const Expr *FnE = Fn(A->fn());
-    bool Changed = FnE != A->fn();
     std::vector<const Expr *> Args;
-    for (const Expr *Arg : A->args()) {
-      Args.push_back(Fn(Arg));
-      Changed |= Args.back() != Arg;
-    }
-    if (!Changed)
+    if (mapAll(A->args(), Args, Fn))
+      return B.app(FnE, std::span<const Expr *const>(Args.data(), Args.size()),
+                   E->loc());
+    if (FnE == A->fn())
       return E;
-    return B.app(FnE, std::span<const Expr *const>(Args.data(), Args.size()),
-                 E->loc());
+    return B.app(FnE, A->args(), E->loc());
   }
 
   case ExprKind::Let: {
@@ -76,15 +104,13 @@ const Expr *perceus::mapChildren(
 
   case ExprKind::Match: {
     const auto *M = cast<MatchExpr>(E);
-    bool Changed = false;
     std::vector<MatchArm> Arms;
-    for (const MatchArm &Arm : M->arms()) {
+    auto MapArm = [&Fn](const MatchArm &Arm) {
       MatchArm NewArm = Arm;
       NewArm.Body = Fn(Arm.Body);
-      Changed |= NewArm.Body != Arm.Body;
-      Arms.push_back(NewArm);
-    }
-    if (!Changed)
+      return NewArm;
+    };
+    if (!mapAll(M->arms(), Arms, MapArm))
       return E;
     return B.match(M->scrutinee(),
                    std::span<const MatchArm>(Arms.data(), Arms.size()),
@@ -93,13 +119,8 @@ const Expr *perceus::mapChildren(
 
   case ExprKind::Con: {
     const auto *C = cast<ConExpr>(E);
-    bool Changed = false;
     std::vector<const Expr *> Args;
-    for (const Expr *Arg : C->args()) {
-      Args.push_back(Fn(Arg));
-      Changed |= Args.back() != Arg;
-    }
-    if (!Changed)
+    if (!mapAll(C->args(), Args, Fn))
       return E;
     return B.con(C->ctor(),
                  std::span<const Expr *const>(Args.data(), Args.size()),
@@ -108,13 +129,8 @@ const Expr *perceus::mapChildren(
 
   case ExprKind::Prim: {
     const auto *Pr = cast<PrimExpr>(E);
-    bool Changed = false;
     std::vector<const Expr *> Args;
-    for (const Expr *Arg : Pr->args()) {
-      Args.push_back(Fn(Arg));
-      Changed |= Args.back() != Arg;
-    }
-    if (!Changed)
+    if (!mapAll(Pr->args(), Args, Fn))
       return E;
     return B.prim(Pr->op(),
                   std::span<const Expr *const>(Args.data(), Args.size()),

@@ -44,10 +44,26 @@ private:
         continue;
       }
       uint32_t DataId = P.addData(TypeName);
+      if (T.Ctors.size() > MaxCtorsPerType) {
+        Diags.error(T.Loc, "type '" + T.Name + "' has " +
+                               std::to_string(T.Ctors.size()) +
+                               " constructors; at most " +
+                               std::to_string(MaxCtorsPerType) +
+                               " are supported");
+        continue;
+      }
       for (const SCtorDecl &C : T.Ctors) {
         Symbol CtorName = P.symbols().intern(C.Name);
         if (P.findCtor(CtorName) != InvalidId) {
           Diags.error(C.Loc, "duplicate constructor '" + C.Name + "'");
+          continue;
+        }
+        if (C.Fields.size() > MaxCtorFields) {
+          Diags.error(C.Loc, "constructor '" + C.Name + "' has " +
+                                 std::to_string(C.Fields.size()) +
+                                 " fields; at most " +
+                                 std::to_string(MaxCtorFields) +
+                                 " are supported");
           continue;
         }
         std::vector<Symbol> Fields;
@@ -113,6 +129,7 @@ private:
     if (Id == InvalidId)
       return; // duplicate reported earlier
     const FunctionDecl &Fn = P.function(Id);
+    FV.clear();
     size_t Mark = scopeMark();
     for (size_t I = 0; I != F.Params.size(); ++I)
       pushScope(F.Params[I], Fn.Params[I]);
@@ -318,12 +335,18 @@ private:
     const Expr *Body = resolveExpr(*E.A);
     popScope(Mark);
     // Captures: free variables of the body minus the parameters
-    // (Figure 4: lambda_ys x. e with ys = fv(lambda)).
-    FreeVarAnalysis FV;
-    VarSet Free = FV.freeVars(Body);
+    // (Figure 4: lambda_ys x. e with ys = fv(lambda)). Inner lambdas
+    // were resolved first, so their bodies are already in the table.
+    VarSet Free(FV.freeVars(Body));
     for (Symbol Pm : Params)
       Free.erase(Pm);
     std::vector<Symbol> Captures(Free.begin(), Free.end());
+    if (Captures.size() > MaxLambdaCaptures)
+      Diags.error(E.Loc, "lambda captures " +
+                             std::to_string(Captures.size()) +
+                             " variables; at most " +
+                             std::to_string(MaxLambdaCaptures) +
+                             " are supported");
     return B.lam(std::span<const Symbol>(Params.data(), Params.size()),
                  std::span<const Symbol>(Captures.data(), Captures.size()),
                  Body, E.Loc);
@@ -627,6 +650,7 @@ private:
   DiagnosticEngine &Diags;
   std::vector<ScopeEntry> Scope;
   std::unordered_set<std::string> UsedBinderNames;
+  FreeVarAnalysis FV; ///< lambda captures, one table per function
 };
 
 } // namespace

@@ -80,8 +80,9 @@ bool allocatesReusableCells(const Program &P, const Expr *E) {
 
 class BorrowUseChecker {
 public:
-  BorrowUseChecker(const Program &P, Symbol X, const BorrowSignatures &Sigs)
-      : P(P), X(X), Sigs(Sigs) {}
+  BorrowUseChecker(const Program &P, Symbol X, const BorrowSignatures &Sigs,
+                   FreeVarAnalysis &FV)
+      : P(P), X(X), Sigs(Sigs), FV(FV) {}
 
   /// True when every free occurrence of X in E is borrow-compatible.
   bool check(const Expr *E) {
@@ -149,7 +150,7 @@ public:
     }
     case ExprKind::Lam:
       // Capturing X stores it in a closure: owned.
-      return !FreeVarAnalysis().freeVars(E).contains(X);
+      return !FV.freeVars(E).contains(X);
     default:
       return false; // RC forms: not expected pre-insertion
     }
@@ -159,13 +160,15 @@ private:
   const Program &P;
   Symbol X;
   const BorrowSignatures &Sigs;
+  FreeVarAnalysis &FV;
 };
 
 } // namespace
 
 bool perceus::onlyBorrowUses(const Program &P, const Expr *E, Symbol X,
-                             const BorrowSignatures &Sigs) {
-  return BorrowUseChecker(P, X, Sigs).check(E);
+                             const BorrowSignatures &Sigs,
+                             FreeVarAnalysis &FV) {
+  return BorrowUseChecker(P, X, Sigs, FV).check(E);
 }
 
 BorrowSignatures perceus::inferBorrowSignatures(const Program &P) {
@@ -180,7 +183,9 @@ BorrowSignatures perceus::inferBorrowSignatures(const Program &P) {
   }
 
   // Greatest fixpoint: start optimistic, strike parameters whose uses
-  // are not borrow-compatible under the current signatures.
+  // are not borrow-compatible under the current signatures. One table
+  // serves every round, so no lambda body is walked twice.
+  FreeVarAnalysis FV;
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -191,7 +196,7 @@ BorrowSignatures perceus::inferBorrowSignatures(const Program &P) {
       for (size_t I = 0; I != Fn.Params.size(); ++I) {
         if (!Sigs[F][I])
           continue;
-        if (!onlyBorrowUses(P, Fn.Body, Fn.Params[I], Sigs)) {
+        if (!onlyBorrowUses(P, Fn.Body, Fn.Params[I], Sigs, FV)) {
           Sigs[F][I] = false;
           Changed = true;
         }

@@ -43,6 +43,8 @@
 
 namespace perceus {
 
+class FreeVarAnalysis;
+
 /// Per-function, per-parameter borrow flags.
 using BorrowSignatures = std::vector<std::vector<bool>>;
 
@@ -52,9 +54,10 @@ BorrowSignatures inferBorrowSignatures(const Program &P);
 
 /// True when every free occurrence of \p X in \p E is borrow-compatible
 /// under \p Sigs (see the file comment). Exposed for binder-level reuse
-/// by the insertion pass and for the unit tests.
+/// by the insertion pass and for the unit tests. Lambda captures are
+/// looked up in \p FV, the caller's free-variable table.
 bool onlyBorrowUses(const Program &P, const Expr *E, Symbol X,
-                    const BorrowSignatures &Sigs);
+                    const BorrowSignatures &Sigs, FreeVarAnalysis &FV);
 
 } // namespace perceus
 

@@ -23,6 +23,7 @@ public:
 
   void runOnFunction(FuncId F) {
     FunctionDecl &Fn = P.function(F);
+    FV.clear();
     P.setBody(F, rewrite(Fn.Body));
   }
 
@@ -45,7 +46,7 @@ private:
           ShapeInfo Info;
           Info.Ctor = Arm.Ctor;
           Info.Binders = Arm.Binders;
-          const VarSet &BodyFree = FV.freeVars(Arm.Body);
+          VarSetRef BodyFree = FV.freeVars(Arm.Body);
           for (Symbol Bv : Arm.Binders)
             if (BodyFree.contains(Bv)) {
               Info.ChildrenUsed = true;
@@ -136,8 +137,9 @@ private:
 } // namespace
 
 void perceus::runDropSpecialization(Program &P) {
+  DropSpecializer S(P); // reuses its free-variable table's memory
   for (FuncId F = 0; F != P.numFunctions(); ++F)
-    runDropSpecialization(P, F);
+    S.runOnFunction(F);
 }
 
 void perceus::runDropSpecialization(Program &P, FuncId F) {

@@ -10,6 +10,7 @@
 #include "ir/Builder.h"
 #include "support/Casting.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace perceus;
@@ -38,6 +39,23 @@ bool producesUnit(const Expr *E) {
 // Perceus insertion (Figure 8)
 //===----------------------------------------------------------------------===//
 
+/// The borrowed environment Delta of the derivation. No rule reads Delta
+/// to choose an instruction: it only appears in the invariants of
+/// Section 3.4 (fv(e) within Delta,Gamma; Delta and Gamma disjoint). So
+/// builds with assertions carry the real set and check the invariants at
+/// every node, and release builds carry this empty stand-in and skip the
+/// set algebra.
+#ifndef NDEBUG
+using BorrowedEnv = VarSet;
+#else
+struct BorrowedEnv {
+  template <typename T> BorrowedEnv unite(const T &) const { return {}; }
+  template <typename T> BorrowedEnv minus(const T &) const { return {}; }
+  void insert(Symbol) {}
+  void insertAll(VarSetRef) {}
+};
+#endif
+
 class PerceusInserter {
 public:
   PerceusInserter(Program &P, const BorrowSignatures *Borrow)
@@ -46,13 +64,15 @@ public:
   void runOnFunction(FuncId F) {
     FunctionDecl &Fn = P.function(F);
     assert(Fn.Body && "function has no body");
+    FV.clear(); // one table per function; its memory carries over
     // Function entry: Gamma = owned params that occur free in the body;
     // unused owned parameters are dropped immediately (the function-level
     // analogue of rule slam-drop). Borrowed parameters (Section 6
     // extension) live in Delta: the caller retains ownership, so they
     // are never consumed nor dropped here.
-    const VarSet &BodyFree = FV.freeVars(Fn.Body);
-    VarSet Gamma, Delta;
+    VarSetRef BodyFree = FV.freeVars(Fn.Body);
+    VarSet Gamma;
+    BorrowedEnv Delta;
     for (size_t I = 0; I != Fn.Params.size(); ++I) {
       Symbol Pm = Fn.Params[I];
       if (isBorrowedParam(F, I))
@@ -61,9 +81,9 @@ public:
         Gamma.insert(Pm);
     }
     const Expr *Body = transform(Fn.Body, Delta, Gamma);
-    for (auto It = Fn.Params.rbegin(); It != Fn.Params.rend(); ++It)
-      if (!BodyFree.contains(*It) && !Delta.contains(*It))
-        Body = B.drop(*It, Body);
+    for (size_t I = Fn.Params.size(); I-- > 0;)
+      if (!BodyFree.contains(Fn.Params[I]) && !isBorrowedParam(F, I))
+        Body = B.drop(Fn.Params[I], Body);
     P.setBody(F, Body);
   }
 
@@ -72,13 +92,21 @@ public:
   }
 
 private:
+  /// Wraps `drop z; ...` around \p Body for each z of \p Drops, so the
+  /// drops run in ascending id order.
+  const Expr *dropAll(VarSetRef Drops, const Expr *Body, SourceLoc L) {
+    for (const Symbol *It = Drops.end(); It != Drops.begin();)
+      Body = B.drop(*--It, Body, L);
+    return Body;
+  }
+
   /// The syntax-directed derivation `Delta | Gamma |-s e ~> e'`.
-  const Expr *transform(const Expr *E, const VarSet &Delta,
+  const Expr *transform(const Expr *E, const BorrowedEnv &Delta,
                         const VarSet &Gamma) {
 #ifndef NDEBUG
-    const VarSet &Free = FV.freeVars(E);
+    VarSetRef Free = FV.freeVars(E);
     assert(Gamma.minus(Free).empty() && "Gamma must be within fv(e)");
-    assert(Free.minus(Delta.unite(Gamma)).empty() &&
+    assert(VarSet(Free).minus(Delta.unite(Gamma)).empty() &&
            "fv(e) must be within Delta,Gamma");
     assert(Delta.intersect(Gamma).empty() && "Delta and Gamma overlap");
 #endif
@@ -97,161 +125,44 @@ private:
       return B.dup(X, E, E->loc()); // [svar-dup]: borrow needs a dup
     }
 
-    case ExprKind::Lam: {
-      // [slam] / [slam-drop].
-      const auto *L = cast<LamExpr>(E);
-      VarSet Ys;
-      for (Symbol C : L->captures())
-        Ys.insert(C);
-      VarSet Delta1 = Ys.minus(Gamma); // borrowed captures need a dup
-      assert(Gamma.minus(Ys).empty() && "owned vars not captured by lambda");
+    case ExprKind::Lam:
+      return transformLam(cast<LamExpr>(E), Gamma);
 
-      const VarSet &BodyFree = FV.freeVars(L->body());
-      VarSet BodyOwned = Ys; // every capture is free in the body
-      for (Symbol Pm : L->params())
-        if (BodyFree.contains(Pm))
-          BodyOwned.insert(Pm);
-      const Expr *Body = transform(L->body(), VarSet(), BodyOwned);
-      for (auto It = L->params().rbegin(); It != L->params().rend(); ++It)
-        if (!BodyFree.contains(*It))
-          Body = B.drop(*It, Body, E->loc());
-
-      const Expr *Result =
-          B.lamWithId(L->lamId(), L->params(), L->captures(), Body, E->loc());
-      // Wrap dups so they print in ascending order.
-      std::vector<Symbol> Dups(Delta1.begin(), Delta1.end());
-      for (auto It = Dups.rbegin(); It != Dups.rend(); ++It)
-        Result = B.dup(*It, Result, E->loc());
-      return Result;
-    }
-
-    case ExprKind::App: {
-      // [sapp] generalized to n-ary: ownership is claimed right-to-left
-      // so dups happen as late as possible; earlier components borrow
-      // the owned sets of later ones.
-      const auto *A = cast<AppExpr>(E);
-      const auto *G = dyn_cast<GlobalExpr>(A->fn());
-
-      // Section 6 extension: direct calls at borrowed positions.
-      if (Borrow && G) {
-        const std::vector<bool> &Sig = (*Borrow)[G->func()];
-        bool AnyBorrowed = false;
-        bool NeedHoist = false;
-        for (size_t I = 0; I != A->args().size() && I < Sig.size(); ++I) {
-          if (!Sig[I])
-            continue;
-          AnyBorrowed = true;
-          if (!isa<VarExpr>(A->args()[I]))
-            NeedHoist = true;
-        }
-        if (NeedHoist) {
-          // Normalize complex borrowed arguments to let-bound variables
-          // (pre-insertion IR), then transform the whole let chain.
-          std::vector<const Expr *> Args(A->args().begin(), A->args().end());
-          std::vector<std::pair<Symbol, const Expr *>> Hoisted;
-          for (size_t I = 0; I != Args.size() && I < Sig.size(); ++I) {
-            if (!Sig[I] || isa<VarExpr>(Args[I]))
-              continue;
-            Symbol Tmp = P.symbols().fresh("barg");
-            Hoisted.push_back({Tmp, Args[I]});
-            Args[I] = B.var(Tmp, E->loc());
-          }
-          const Expr *NewApp =
-              B.app(A->fn(),
-                    std::span<const Expr *const>(Args.data(), Args.size()),
-                    E->loc());
-          for (size_t I = Hoisted.size(); I-- > 0;)
-            NewApp = B.let(Hoisted[I].first, Hoisted[I].second, NewApp,
-                           E->loc());
-          // No cache invalidation: the rewritten nodes are fresh, and
-          // callers hold references into the memo table.
-          return transform(NewApp, Delta, Gamma);
-        }
-        if (AnyBorrowed) {
-          // Borrowed variable arguments: the caller keeps ownership. If
-          // this was the variable's last owned use, it is dropped right
-          // after the call returns (losing strict garbage-freedom for
-          // the call's duration — the paper's stated trade-off).
-          VarSet BorrowArgs;
-          for (size_t I = 0; I != A->args().size() && I < Sig.size(); ++I)
-            if (Sig[I])
-              BorrowArgs.insert(cast<VarExpr>(A->args()[I])->name());
-          VarSet PostDrop = Gamma.intersect(BorrowArgs);
-          VarSet Gamma2 = Gamma.minus(PostDrop);
-          VarSet Delta2 = Delta.unite(PostDrop);
-
-          std::vector<const Expr *> Comps;
-          Comps.push_back(A->fn());
-          for (const Expr *Arg : A->args())
-            Comps.push_back(Arg);
-          std::vector<bool> PassThrough(Comps.size(), false);
-          for (size_t I = 0; I != A->args().size() && I < Sig.size(); ++I)
-            if (Sig[I])
-              PassThrough[I + 1] = true;
-          std::vector<const Expr *> Out =
-              splitAndTransform(Comps, Delta2, Gamma2, &PassThrough);
-          const Expr *Call =
-              B.app(Out[0],
-                    std::span<const Expr *const>(Out.data() + 1,
-                                                 Out.size() - 1),
-                    E->loc());
-          if (PostDrop.empty())
-            return Call;
-          Symbol R = P.symbols().fresh("bres");
-          const Expr *Rest = B.var(R, E->loc());
-          std::vector<Symbol> Drops(PostDrop.begin(), PostDrop.end());
-          for (auto It = Drops.rbegin(); It != Drops.rend(); ++It)
-            Rest = B.drop(*It, Rest, E->loc());
-          return B.let(R, Call, Rest, E->loc());
-        }
-      }
-
-      std::vector<const Expr *> Comps;
-      Comps.push_back(A->fn());
-      for (const Expr *Arg : A->args())
-        Comps.push_back(Arg);
-      std::vector<const Expr *> Out = splitAndTransform(Comps, Delta, Gamma);
-      return B.app(Out[0],
-                   std::span<const Expr *const>(Out.data() + 1,
-                                                Out.size() - 1),
-                   E->loc());
-    }
+    case ExprKind::App:
+      return transformApp(cast<AppExpr>(E), Delta, Gamma);
 
     case ExprKind::Con: {
       // [scon].
       const auto *C = cast<ConExpr>(E);
       assert(!C->hasReuseToken() && "reuse tokens appear only after reuse "
                                     "analysis");
-      std::vector<const Expr *> Comps(C->args().begin(), C->args().end());
-      std::vector<const Expr *> Out = splitAndTransform(Comps, Delta, Gamma);
-      return B.con(C->ctor(),
-                   std::span<const Expr *const>(Out.data(), Out.size()),
-                   Symbol(), E->loc());
+      return splitAndTransform(
+          nullptr, C->args(), Delta, Gamma, nullptr, [&](Components Out) {
+            return B.con(C->ctor(), Out, Symbol(), E->loc());
+          });
     }
 
     case ExprKind::Prim: {
       const auto *Pr = cast<PrimExpr>(E);
-      std::vector<const Expr *> Comps(Pr->args().begin(), Pr->args().end());
-      std::vector<const Expr *> Out = splitAndTransform(Comps, Delta, Gamma);
-      return B.prim(Pr->op(),
-                    std::span<const Expr *const>(Out.data(), Out.size()),
-                    E->loc());
+      return splitAndTransform(
+          nullptr, Pr->args(), Delta, Gamma, nullptr,
+          [&](Components Out) { return B.prim(Pr->op(), Out, E->loc()); });
     }
 
     case ExprKind::Let: {
       // [sbind] / [sbind-drop].
       const auto *L = cast<LetExpr>(E);
-      const VarSet &BodyFree = FV.freeVars(L->body());
+      VarSetRef BodyFree = FV.freeVars(L->body());
       bool Used = BodyFree.contains(L->name());
-      VarSet BodyClaim = BodyFree;
-      BodyClaim.erase(L->name());
-      VarSet Gamma2 = Gamma.intersect(BodyClaim);
+      // Gamma2 = Gamma meet (fv(body) - x); x is bound here, so it is
+      // not in Gamma.
+      VarSet Gamma2 = Gamma.intersect(BodyFree);
+      Gamma2.erase(L->name());
       const Expr *Bound =
           transform(L->bound(), Delta.unite(Gamma2), Gamma.minus(Gamma2));
-      VarSet BodyOwned = Gamma2;
       if (Used)
-        BodyOwned.insert(L->name());
-      const Expr *Body = transform(L->body(), Delta, BodyOwned);
+        Gamma2.insert(L->name());
+      const Expr *Body = transform(L->body(), Delta, Gamma2);
       if (!Used)
         Body = B.drop(L->name(), Body, E->loc());
       return B.let(L->name(), Bound, Body, E->loc());
@@ -274,9 +185,8 @@ private:
 
     case ExprKind::If: {
       const auto *I = cast<IfExpr>(E);
-      VarSet BranchFree =
-          FV.freeVars(I->thenExpr()).unite(FV.freeVars(I->elseExpr()));
-      VarSet GammaBr = Gamma.intersect(BranchFree);
+      VarSet GammaBr = Gamma.intersect(FV.freeVars(I->thenExpr()));
+      GammaBr.insertAll(Gamma.intersect(FV.freeVars(I->elseExpr())));
       const Expr *Cond =
           transform(I->cond(), Delta.unite(GammaBr), Gamma.minus(GammaBr));
       const Expr *Then = transformBranch(I->thenExpr(), Delta, GammaBr);
@@ -284,70 +194,8 @@ private:
       return B.iff(Cond, Then, Else, E->loc());
     }
 
-    case ExprKind::Match: {
-      // [smatch]: binders that the arm uses are dup'ed at arm entry, the
-      // scrutinee is dropped if the arm no longer needs it, and owned
-      // variables dead in this arm are dropped (Gamma'_i).
-      const auto *M = cast<MatchExpr>(E);
-      Symbol X = M->scrutinee();
-      bool OwnedScrutinee = Gamma.contains(X);
-      std::vector<MatchArm> Arms;
-      for (const MatchArm &Arm : M->arms()) {
-        const VarSet &BodyFree = FV.freeVars(Arm.Body);
-        VarSet ArmOwned = Gamma;
-        VarSet Binders;
-        for (Symbol Bv : Arm.Binders) {
-          ArmOwned.insert(Bv);
-          Binders.insert(Bv);
-        }
-        VarSet GammaI = ArmOwned.intersect(BodyFree);
-        VarSet DropSet = ArmOwned.minus(GammaI);
-
-        // Section 6 extension: if the scrutinee outlives this arm (it is
-        // borrowed, or still owned by the body), binders whose uses are
-        // all borrow-compatible can themselves stay borrowed — no dup at
-        // arm entry at all (e.g. the fields of a borrowed fold).
-        VarSet ArmDelta = Delta;
-        if (Borrow) {
-          // Only when the scrutinee is itself borrowed (alive for the
-          // whole enclosing scope) is a borrowed binder unconditionally
-          // safe; an owned-but-live scrutinee could be consumed between
-          // two binder uses.
-          bool ScrutAlive = !OwnedScrutinee;
-          if (ScrutAlive) {
-            for (Symbol Bv : Arm.Binders) {
-              if (GammaI.contains(Bv) &&
-                  onlyBorrowUses(P, Arm.Body, Bv, *Borrow)) {
-                GammaI.erase(Bv);
-                ArmDelta.insert(Bv);
-              }
-            }
-          }
-        }
-
-        const Expr *Body = transform(Arm.Body, ArmDelta, GammaI);
-
-        // Emit: dup used binders; drop scrutinee; drop dead owned vars.
-        // (Built in reverse since each op wraps the rest.)
-        std::vector<Symbol> Drops;
-        if (OwnedScrutinee && DropSet.contains(X))
-          Drops.push_back(X);
-        for (Symbol Z : DropSet)
-          if (Z != X && !Binders.contains(Z))
-            Drops.push_back(Z);
-        for (auto It = Drops.rbegin(); It != Drops.rend(); ++It)
-          Body = B.drop(*It, Body, E->loc());
-        for (size_t BI = Arm.Binders.size(); BI-- > 0;)
-          if (GammaI.contains(Arm.Binders[BI]))
-            Body = B.dup(Arm.Binders[BI], Body, E->loc());
-
-        MatchArm NewArm = Arm;
-        NewArm.Body = Body;
-        Arms.push_back(NewArm);
-      }
-      return B.match(X, std::span<const MatchArm>(Arms.data(), Arms.size()),
-                     E->loc());
-    }
+    case ExprKind::Match:
+      return transformMatch(cast<MatchExpr>(E), Delta, Gamma);
 
     default:
       assert(false && "RC instruction in pre-insertion IR");
@@ -355,56 +203,222 @@ private:
     }
   }
 
-  /// Handles the shared Gamma'_i-drop logic for if-branches.
-  const Expr *transformBranch(const Expr *Branch, const VarSet &Delta,
-                              const VarSet &GammaBr) {
-    VarSet GammaI = GammaBr.intersect(FV.freeVars(Branch));
-    VarSet DropSet = GammaBr.minus(GammaI);
-    const Expr *Out = transform(Branch, Delta, GammaI);
-    std::vector<Symbol> Drops(DropSet.begin(), DropSet.end());
-    for (auto It = Drops.rbegin(); It != Drops.rend(); ++It)
-      Out = B.drop(*It, Out, Branch->loc());
+  /// [slam] / [slam-drop].
+  const Expr *transformLam(const LamExpr *L, const VarSet &Gamma) {
+    VarSet Ys;
+    for (Symbol C : L->captures())
+      Ys.insert(C);
+    VarSet Delta1 = Ys.minus(Gamma); // borrowed captures need a dup
+    assert(Gamma.minus(Ys).empty() && "owned vars not captured by lambda");
+
+    VarSetRef BodyFree = FV.freeVars(L->body());
+    VarSet BodyOwned = Ys; // every capture is free in the body
+    for (Symbol Pm : L->params())
+      if (BodyFree.contains(Pm))
+        BodyOwned.insert(Pm);
+    const Expr *Body = transform(L->body(), BorrowedEnv(), BodyOwned);
+    for (auto It = L->params().rbegin(); It != L->params().rend(); ++It)
+      if (!BodyFree.contains(*It))
+        Body = B.drop(*It, Body, L->loc());
+
+    const Expr *Result =
+        B.lamWithId(L->lamId(), L->params(), L->captures(), Body, L->loc());
+    // Wrap dups so they print in ascending order.
+    for (const Symbol *It = Delta1.end(); It != Delta1.begin();)
+      Result = B.dup(*--It, Result, L->loc());
+    return Result;
+  }
+
+  /// [sapp] generalized to n-ary: ownership is claimed right-to-left so
+  /// dups happen as late as possible; earlier components borrow the
+  /// owned sets of later ones.
+  const Expr *transformApp(const AppExpr *A, const BorrowedEnv &Delta,
+                           const VarSet &Gamma) {
+    const auto *G = dyn_cast<GlobalExpr>(A->fn());
+    const std::vector<bool> *Sig =
+        Borrow && G ? &(*Borrow)[G->func()] : nullptr;
+    SourceLoc Loc = A->loc();
+
+    // Section 6 extension: direct calls at borrowed positions.
+    bool AnyBorrowed = false;
+    bool NeedHoist = false;
+    for (size_t I = 0; Sig && I != A->args().size() && I < Sig->size(); ++I) {
+      if (!(*Sig)[I])
+        continue;
+      AnyBorrowed = true;
+      if (!isa<VarExpr>(A->args()[I]))
+        NeedHoist = true;
+    }
+    if (NeedHoist) {
+      // Normalize complex borrowed arguments to let-bound variables
+      // (pre-insertion IR), then transform the whole let chain.
+      std::vector<const Expr *> Args(A->args().begin(), A->args().end());
+      std::vector<std::pair<Symbol, const Expr *>> Hoisted;
+      for (size_t I = 0; I != Args.size() && I < Sig->size(); ++I) {
+        if (!(*Sig)[I] || isa<VarExpr>(Args[I]))
+          continue;
+        Symbol Tmp = P.symbols().fresh("barg");
+        Hoisted.push_back({Tmp, Args[I]});
+        Args[I] = B.var(Tmp, Loc);
+      }
+      const Expr *NewApp = B.app(
+          A->fn(), std::span<const Expr *const>(Args.data(), Args.size()),
+          Loc);
+      for (size_t I = Hoisted.size(); I-- > 0;)
+        NewApp = B.let(Hoisted[I].first, Hoisted[I].second, NewApp, Loc);
+      // The rewritten nodes are fresh: the table computes their sets on
+      // first query.
+      return transform(NewApp, Delta, Gamma);
+    }
+    auto MakeCall = [&](Components Out) {
+      return B.app(Out[0], Out.subspan(1), Loc);
+    };
+    if (!AnyBorrowed)
+      return splitAndTransform(A->fn(), A->args(), Delta, Gamma, nullptr,
+                               MakeCall);
+
+    // Borrowed variable arguments: the caller keeps ownership. If this
+    // was the variable's last owned use, it is dropped right after the
+    // call returns (losing strict garbage-freedom for the call's
+    // duration — the paper's stated trade-off).
+    VarSet BorrowArgs;
+    for (size_t I = 0; I != A->args().size() && I < Sig->size(); ++I)
+      if ((*Sig)[I])
+        BorrowArgs.insert(cast<VarExpr>(A->args()[I])->name());
+    VarSet PostDrop = Gamma.intersect(BorrowArgs);
+    const Expr *Call =
+        splitAndTransform(A->fn(), A->args(), Delta.unite(PostDrop),
+                          Gamma.minus(PostDrop), Sig, MakeCall);
+    if (PostDrop.empty())
+      return Call;
+    Symbol R = P.symbols().fresh("bres");
+    return B.let(R, Call, dropAll(PostDrop, B.var(R, Loc), Loc), Loc);
+  }
+
+  /// [smatch]: binders that the arm uses are dup'ed at arm entry, the
+  /// scrutinee is dropped if the arm no longer needs it, and owned
+  /// variables dead in this arm are dropped (Gamma'_i).
+  const Expr *transformMatch(const MatchExpr *M, const BorrowedEnv &Delta,
+                             const VarSet &Gamma) {
+    Symbol X = M->scrutinee();
+    bool OwnedScrutinee = Gamma.contains(X);
+    size_t Base = Arms.size();
+    for (const MatchArm &Arm : M->arms()) {
+      VarSetRef BodyFree = FV.freeVars(Arm.Body);
+      VarSet ArmOwned = Gamma;
+      for (Symbol Bv : Arm.Binders)
+        ArmOwned.insert(Bv);
+      VarSet GammaI = ArmOwned.intersect(BodyFree);
+      VarSet DropSet = ArmOwned;
+      DropSet.eraseAll(GammaI);
+
+      // Section 6 extension: if the scrutinee outlives this arm (it is
+      // borrowed, or still owned by the body), binders whose uses are
+      // all borrow-compatible can themselves stay borrowed — no dup at
+      // arm entry at all (e.g. the fields of a borrowed fold).
+      BorrowedEnv ArmDelta = Delta;
+      // Only when the scrutinee is itself borrowed (alive for the whole
+      // enclosing scope) is a borrowed binder unconditionally safe; an
+      // owned-but-live scrutinee could be consumed between two binder
+      // uses.
+      if (Borrow && !OwnedScrutinee) {
+        for (Symbol Bv : Arm.Binders) {
+          if (GammaI.contains(Bv) &&
+              onlyBorrowUses(P, Arm.Body, Bv, *Borrow, FV)) {
+            GammaI.erase(Bv);
+            ArmDelta.insert(Bv);
+          }
+        }
+      }
+
+      const Expr *Body = transform(Arm.Body, ArmDelta, GammaI);
+
+      // Emit: dup used binders; drop scrutinee; drop dead owned vars.
+      // (Built in reverse since each op wraps the rest.)
+      auto isBinder = [&Arm](Symbol Z) {
+        return std::find(Arm.Binders.begin(), Arm.Binders.end(), Z) !=
+               Arm.Binders.end();
+      };
+      for (const Symbol *It = DropSet.end(); It != DropSet.begin();) {
+        Symbol Z = *--It;
+        if (Z != X && !isBinder(Z))
+          Body = B.drop(Z, Body, M->loc());
+      }
+      if (OwnedScrutinee && DropSet.contains(X))
+        Body = B.drop(X, Body, M->loc());
+      for (size_t BI = Arm.Binders.size(); BI-- > 0;)
+        if (GammaI.contains(Arm.Binders[BI]))
+          Body = B.dup(Arm.Binders[BI], Body, M->loc());
+
+      MatchArm NewArm = Arm;
+      NewArm.Body = Body;
+      Arms.push_back(NewArm);
+    }
+    const Expr *Out = B.match(
+        X, std::span<const MatchArm>(Arms.data() + Base, Arms.size() - Base),
+        M->loc());
+    Arms.resize(Base);
     return Out;
   }
 
-  /// Splits Gamma over \p Comps (evaluated left-to-right; ownership
-  /// claimed right-to-left) and transforms each component. Components
-  /// flagged in \p PassThrough are whole-variable borrowed arguments:
+  /// Handles the shared Gamma'_i-drop logic for if-branches.
+  const Expr *transformBranch(const Expr *Branch, const BorrowedEnv &Delta,
+                              const VarSet &GammaBr) {
+    VarSet GammaI = GammaBr.intersect(FV.freeVars(Branch));
+    const Expr *Out = transform(Branch, Delta, GammaI);
+    VarSet DropSet = GammaBr;
+    DropSet.eraseAll(GammaI);
+    return dropAll(DropSet, Out, Branch->loc());
+  }
+
+  using Components = std::span<const Expr *const>;
+
+  /// Splits Gamma over the components \p Fn (if any) and \p Args
+  /// (evaluated left-to-right; ownership claimed right-to-left),
+  /// transforms each one, and returns \p Make of the results. Arguments
+  /// at positions \p Sig flags are whole-variable borrowed arguments:
   /// they are emitted verbatim (no dup, no ownership claim).
-  std::vector<const Expr *> splitAndTransform(
-      const std::vector<const Expr *> &Comps, const VarSet &Delta,
-      const VarSet &Gamma, const std::vector<bool> *PassThrough = nullptr) {
-    size_t N = Comps.size();
-    auto isPass = [&](size_t I) {
-      return PassThrough && (*PassThrough)[I];
-    };
-    std::vector<VarSet> Gammas(N);
+  template <typename MakeNode>
+  const Expr *splitAndTransform(const Expr *Fn, Components Args,
+                                const BorrowedEnv &Delta, const VarSet &Gamma,
+                                const std::vector<bool> *Sig,
+                                MakeNode &&Make) {
+    // The results go on the shared Scratch stack; nested calls push and
+    // pop above Base, so index (not point) into it.
+    size_t Base = Scratch.size();
+    size_t First = Fn ? 1 : 0;
+    size_t N = First + Args.size();
+    Scratch.resize(Base + N);
     VarSet Rem = Gamma;
+    BorrowedEnv Later; // owned sets of later components, borrowed by
+                       // earlier ones
     for (size_t I = N; I-- > 0;) {
-      if (isPass(I))
-        continue;
-      Gammas[I] = Rem.intersect(FV.freeVars(Comps[I]));
-      Rem.eraseAll(Gammas[I]);
-    }
-    assert(Rem.empty() && "owned variable free in no component");
-    std::vector<const Expr *> Out(N);
-    VarSet Later; // owned sets of later components, borrowed by earlier
-    for (size_t I = N; I-- > 0;) {
-      if (isPass(I)) {
-        Out[I] = Comps[I];
+      const Expr *C = I < First ? Fn : Args[I - First];
+      size_t ArgI = I - First;
+      if (I >= First && Sig && ArgI < Sig->size() && (*Sig)[ArgI]) {
+        Scratch[Base + I] = C;
         continue;
       }
-      VarSet D = Delta.unite(Later).minus(Gammas[I]);
-      Out[I] = transform(Comps[I], D, Gammas[I]);
-      Later.insertAll(Gammas[I]);
+      VarSet GammaI = Rem.intersect(FV.freeVars(C));
+      Rem.eraseAll(GammaI);
+      const Expr *Out = transform(C, Delta.unite(Later).minus(GammaI), GammaI);
+      Scratch[Base + I] = Out;
+      Later.insertAll(GammaI);
     }
-    return Out;
+    assert(Rem.empty() && "owned variable free in no component");
+    const Expr *Node = Make(Components(Scratch.data() + Base, N));
+    Scratch.resize(Base);
+    return Node;
   }
 
   Program &P;
   IRBuilder B;
   FreeVarAnalysis FV;
   const BorrowSignatures *Borrow;
+  /// Stacks of finished components and match arms, shared by every
+  /// nesting level (each level pops what it pushed).
+  std::vector<const Expr *> Scratch;
+  std::vector<MatchArm> Arms;
 };
 
 //===----------------------------------------------------------------------===//

@@ -13,6 +13,8 @@
 #include "perceus/Perceus.h"
 #include "perceus/Reuse.h"
 
+#include <chrono>
+
 using namespace perceus;
 
 const char *PassConfig::name() const {
@@ -155,9 +157,17 @@ namespace {
 /// \p Stats is null on the plain (no-snapshot) path.
 void runPasses(Program &P, const PassConfig &Config,
                std::vector<PassStat> *Stats) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point Start;
   auto snap = [&](const char *Pass) {
-    if (Stats)
-      Stats->push_back({Pass, countIrOps(P)});
+    if (!Stats)
+      return;
+    double Ms = Stats->empty() ? 0
+                               : std::chrono::duration<double, std::milli>(
+                                     Clock::now() - Start)
+                                     .count();
+    Stats->push_back({Pass, countIrOps(P), Ms});
+    Start = Clock::now();
   };
   snap("input");
   switch (Config.Mode) {

@@ -112,10 +112,12 @@ IrOpCounts countIrOps(const Program &P);
 struct PassStat {
   std::string Pass;  ///< "input", "perceus insertion (2.2)", ...
   IrOpCounts Counts; ///< program-wide counts after the stage ran
+  double Ms = 0;     ///< wall time of the stage itself (0 for "input";
+                     ///< the snapshot's own counting is excluded)
 };
 
 /// Like runPipeline, but snapshots countIrOps before the first pass
-/// ("input") and after each pass that actually ran.
+/// ("input") and after each pass that actually ran, and times each pass.
 std::vector<PassStat> runPipelineWithStats(Program &P,
                                            const PassConfig &Config);
 

@@ -282,6 +282,8 @@ public:
 
   void runOnFunction(FuncId F) {
     FunctionDecl &Fn = P.function(F);
+    Tokens.clear();
+    FV.clear();
     P.setBody(F, rewrite(Fn.Body));
   }
 
@@ -388,7 +390,6 @@ private:
     size_t N = Args.size();
     assert(Origin.Binders.size() == N && "token origin arity mismatch");
 
-    FreeVarAnalysis FV;
     std::vector<bool> Unchanged(N, false);
     std::vector<bool> HasDup(N, false);
     unsigned NumUnchanged = 0;
@@ -462,6 +463,7 @@ private:
 
   Program &P;
   IRBuilder B;
+  FreeVarAnalysis FV;
   std::unordered_map<Symbol, TokenOrigin> Shape;
   std::unordered_map<Symbol, TokenOrigin> Tokens;
 };
@@ -479,8 +481,9 @@ void perceus::runReuseAnalysis(Program &P, FuncId F) {
 }
 
 void perceus::runReuseSpecialization(Program &P) {
+  ReuseSpecializer S(P); // reuses its free-variable table's memory
   for (FuncId F = 0; F != P.numFunctions(); ++F)
-    runReuseSpecialization(P, F);
+    S.runOnFunction(F);
 }
 
 void perceus::runReuseSpecialization(Program &P, FuncId F) {

@@ -24,6 +24,11 @@ constexpr int32_t StickyRc = INT32_MIN;
 /// past INT32_MIN.
 constexpr int32_t StickyBandTop = INT32_MIN + (1 << 20);
 constexpr size_t SlabBytes = 256 * 1024;
+// The front end caps a cell at 255 fields (the header's one-byte
+// arity), so every cell fits a standard slab: there are no oversized
+// slabs to allocate or to account for.
+static_assert(sizeof(Cell) + sizeof(FieldWord) * 255 <= SlabBytes,
+              "the widest cell must fit one slab");
 
 /// Direct-mapped coalescing-buffer index. Fibonacci hashing: cells are
 /// allocated at a constant stride (bump allocation of equal-size cells),
@@ -67,11 +72,10 @@ Cell *Heap::allocRaw(uint32_t Arity) {
   // pointer is UB (UBSan flags it); the subtraction below is only formed
   // once a slab exists.
   if (!SlabCur || size_t(SlabEnd - SlabCur) < Bytes) {
-    size_t Size = Bytes > SlabBytes ? Bytes : SlabBytes;
-    Slabs.push_back({std::make_unique<char[]>(Size), Size});
-    SlabBytesHeld += Size;
-    SlabCur = Slabs.back().Mem.get();
-    SlabEnd = SlabCur + Size;
+    Slabs.push_back(std::make_unique<char[]>(SlabBytes));
+    SlabBytesHeld += SlabBytes;
+    SlabCur = Slabs.back().get();
+    SlabEnd = SlabCur + SlabBytes;
   }
   Cell *C = reinterpret_cast<Cell *>(SlabCur);
   SlabCur += Bytes;
@@ -583,20 +587,15 @@ size_t Heap::trimRetained() {
   AllCells.clear();
   AllCells.shrink_to_fit();
   DropStack.shrink_to_fit();
-  // Keep one standard-size slab warm so the next run's first allocation
-  // doesn't pay a fresh OS allocation; the bump pointer restarts at its
-  // base (every cell in it is free — the heap is empty).
-  std::unique_ptr<char[]> Warm;
-  for (Slab &S : Slabs)
-    if (!Warm && S.Size == SlabBytes)
-      Warm = std::move(S.Mem);
-  Slabs.clear();
+  // Keep one slab warm so the next run's first allocation doesn't pay a
+  // fresh OS allocation; the bump pointer restarts at its base (every
+  // cell in it is free — the heap is empty).
+  Slabs.resize(std::min<size_t>(Slabs.size(), 1));
   SlabCur = SlabEnd = nullptr;
   SlabBytesHeld = 0;
-  if (Warm) {
-    Slabs.push_back({std::move(Warm), SlabBytes});
+  if (!Slabs.empty()) {
     SlabBytesHeld = SlabBytes;
-    SlabCur = Slabs.back().Mem.get();
+    SlabCur = Slabs.back().get();
     SlabEnd = SlabCur + SlabBytes;
   }
   return Before - SlabBytesHeld;

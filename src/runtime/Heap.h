@@ -449,13 +449,8 @@ private:
   /// the rare shared-free path; erased on release.
   std::unordered_set<const Cell *> LocallyShared;
 
-  // Bump-allocated slabs (size recorded so trimRetained can account
-  // for oversized single-cell slabs too).
-  struct Slab {
-    std::unique_ptr<char[]> Mem;
-    size_t Size;
-  };
-  std::vector<Slab> Slabs;
+  // Bump-allocated slabs, all SlabBytes long.
+  std::vector<std::unique_ptr<char[]>> Slabs;
   char *SlabCur = nullptr;
   char *SlabEnd = nullptr;
   size_t SlabBytesHeld = 0;

@@ -8,9 +8,16 @@
 #include "analysis/LinearCheck.h"
 #include "analysis/VarSet.h"
 #include "analysis/Verifier.h"
+#include "calculus/Generator.h"
 #include "ir/Builder.h"
+#include "lang/Resolver.h"
+#include "perceus/Pipeline.h"
+#include "programs/Programs.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace perceus;
 
@@ -41,6 +48,341 @@ TEST(VarSet, IterationIsOrderedById) {
   VarSet S{C, A, B};
   std::vector<Symbol> Order(S.begin(), S.end());
   EXPECT_EQ(Order, (std::vector<Symbol>{A, B, C}));
+}
+
+//===----------------------------------------------------------------------===//
+// VarSet against a std::set reference model
+//===----------------------------------------------------------------------===//
+
+using RefSet = std::set<uint32_t>;
+
+RefSet ref(VarSetRef S) {
+  RefSet R;
+  for (Symbol X : S)
+    R.insert(X.id());
+  return R;
+}
+
+/// Sorted, duplicate-free, and equal to the model.
+void expectSame(const VarSet &S, const RefSet &M, const char *What) {
+  ASSERT_EQ(S.size(), M.size()) << What;
+  EXPECT_TRUE(std::is_sorted(S.begin(), S.end())) << What;
+  EXPECT_EQ(ref(S), M) << What;
+  for (uint32_t Id = 1; Id != 50; ++Id)
+    ASSERT_EQ(S.contains(Symbol::fromId(Id)), M.count(Id) != 0) << What;
+}
+
+/// A random set of 0..40 symbols drawn from ids 1..48, so sizes cross
+/// the inline capacity both ways and sets overlap.
+void randomSet(Rng &R, VarSet &S, RefSet &M) {
+  size_t N = R.below(41);
+  for (size_t I = 0; I != N; ++I) {
+    uint32_t Id = 1 + uint32_t(R.below(48));
+    EXPECT_EQ(S.insert(Symbol::fromId(Id)), M.insert(Id).second);
+  }
+}
+
+TEST(VarSetModel, MatchesStdSetOnRandomInputs) {
+  static_assert(VarSet::InlineCapacity < 40, "inputs must cross inline");
+  Rng R(20211);
+  for (int Round = 0; Round != 2000; ++Round) {
+    VarSet A, B;
+    RefSet MA, MB;
+    randomSet(R, A, MA);
+    randomSet(R, B, MB);
+    expectSame(A, MA, "insert");
+
+    RefSet Want;
+    std::set_intersection(MA.begin(), MA.end(), MB.begin(), MB.end(),
+                          std::inserter(Want, Want.end()));
+    expectSame(A.intersect(B), Want, "intersect");
+    Want.clear();
+    std::set_difference(MA.begin(), MA.end(), MB.begin(), MB.end(),
+                        std::inserter(Want, Want.end()));
+    expectSame(A.minus(B), Want, "minus");
+    VarSet Erased = A;
+    Erased.eraseAll(B);
+    expectSame(Erased, Want, "eraseAll");
+    Want.clear();
+    std::set_union(MA.begin(), MA.end(), MB.begin(), MB.end(),
+                   std::inserter(Want, Want.end()));
+    expectSame(A.unite(B), Want, "unite");
+    VarSet Joined = A;
+    Joined.insertAll(B);
+    expectSame(Joined, Want, "insertAll");
+    Joined.insertAll(Joined); // aliasing: a no-op
+    expectSame(Joined, Want, "insertAll self");
+
+    // Erase a random half, one by one.
+    for (uint32_t Id = 1; Id != 50; ++Id) {
+      if (R.chance(1, 2)) {
+        EXPECT_EQ(A.erase(Symbol::fromId(Id)), MA.erase(Id) != 0);
+      }
+    }
+    expectSame(A, MA, "erase");
+
+    // Copy, move and self-assignment, inline and spilled alike.
+    VarSet Copy(A);
+    expectSame(Copy, MA, "copy");
+    VarSet Assigned;
+    Assigned.insert(Symbol::fromId(49));
+    Assigned = B;
+    expectSame(Assigned, MB, "copy-assign");
+    VarSet &Self = Assigned;
+    Assigned = Self;
+    expectSame(Assigned, MB, "self-assign");
+    Assigned = std::move(Self);
+    expectSame(Assigned, MB, "self-move");
+    VarSet Moved(std::move(Copy));
+    expectSame(Moved, MA, "move");
+    EXPECT_TRUE(Copy.empty());
+    Copy = std::move(Moved);
+    expectSame(Copy, MA, "move-assign");
+    EXPECT_TRUE(Moved.empty());
+    Moved.insert(Symbol::fromId(7)); // a moved-from set is usable
+    expectSame(Moved, RefSet{7}, "reuse after move");
+    EXPECT_EQ(VarSet(VarSetRef(B)), B);
+    EXPECT_EQ(A == B, MA == MB);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// FreeVarAnalysis against a naive recursive fv
+//===----------------------------------------------------------------------===//
+
+/// fv(e) straight from the definitions (Figure 4 plus the RC forms),
+/// recomputed from scratch at every call.
+RefSet naiveFv(const Expr *E) {
+  RefSet S;
+  auto add = [&S](const Expr *C) {
+    RefSet Sub = naiveFv(C);
+    S.insert(Sub.begin(), Sub.end());
+  };
+  auto without = [](RefSet Sub, std::span<const Symbol> Bound) {
+    for (Symbol X : Bound)
+      Sub.erase(X.id());
+    return Sub;
+  };
+  switch (E->kind()) {
+  case ExprKind::Lit:
+  case ExprKind::Global:
+  case ExprKind::NullToken:
+    break;
+  case ExprKind::Var:
+    S.insert(cast<VarExpr>(E)->name().id());
+    break;
+  case ExprKind::Lam: {
+    const auto *L = cast<LamExpr>(E);
+    S = without(naiveFv(L->body()), L->params());
+    break;
+  }
+  case ExprKind::App:
+    add(cast<AppExpr>(E)->fn());
+    for (const Expr *A : cast<AppExpr>(E)->args())
+      add(A);
+    break;
+  case ExprKind::Let: {
+    const auto *L = cast<LetExpr>(E);
+    Symbol X = L->name();
+    S = without(naiveFv(L->body()), std::span<const Symbol>(&X, 1));
+    add(L->bound());
+    break;
+  }
+  case ExprKind::Seq:
+    add(cast<SeqExpr>(E)->first());
+    add(cast<SeqExpr>(E)->second());
+    break;
+  case ExprKind::If:
+    add(cast<IfExpr>(E)->cond());
+    add(cast<IfExpr>(E)->thenExpr());
+    add(cast<IfExpr>(E)->elseExpr());
+    break;
+  case ExprKind::Match:
+    S.insert(cast<MatchExpr>(E)->scrutinee().id());
+    for (const MatchArm &Arm : cast<MatchExpr>(E)->arms()) {
+      RefSet Sub = without(naiveFv(Arm.Body), Arm.Binders);
+      S.insert(Sub.begin(), Sub.end());
+    }
+    break;
+  case ExprKind::Con:
+    for (const Expr *A : cast<ConExpr>(E)->args())
+      add(A);
+    if (cast<ConExpr>(E)->hasReuseToken())
+      S.insert(cast<ConExpr>(E)->reuseToken().id());
+    break;
+  case ExprKind::Prim:
+    for (const Expr *A : cast<PrimExpr>(E)->args())
+      add(A);
+    break;
+  case ExprKind::Dup:
+  case ExprKind::Drop:
+  case ExprKind::Free:
+  case ExprKind::DecRef:
+    add(cast<RcStmtExpr>(E)->rest());
+    S.insert(cast<RcStmtExpr>(E)->var().id());
+    break;
+  case ExprKind::IsUnique:
+    add(cast<IsUniqueExpr>(E)->thenExpr());
+    add(cast<IsUniqueExpr>(E)->elseExpr());
+    S.insert(cast<IsUniqueExpr>(E)->var().id());
+    break;
+  case ExprKind::DropReuse: {
+    const auto *D = cast<DropReuseExpr>(E);
+    Symbol T = D->token();
+    S = without(naiveFv(D->rest()), std::span<const Symbol>(&T, 1));
+    S.insert(D->var().id());
+    break;
+  }
+  case ExprKind::ReuseAddr:
+    S.insert(cast<ReuseAddrExpr>(E)->var().id());
+    break;
+  case ExprKind::IsNullToken:
+    add(cast<IsNullTokenExpr>(E)->thenExpr());
+    add(cast<IsNullTokenExpr>(E)->elseExpr());
+    S.insert(cast<IsNullTokenExpr>(E)->token().id());
+    break;
+  case ExprKind::SetField:
+    add(cast<SetFieldExpr>(E)->value());
+    add(cast<SetFieldExpr>(E)->rest());
+    S.insert(cast<SetFieldExpr>(E)->token().id());
+    break;
+  case ExprKind::TokenValue:
+    S.insert(cast<TokenValueExpr>(E)->token().id());
+    for (Symbol K : cast<TokenValueExpr>(E)->keptFields())
+      S.insert(K.id());
+    break;
+  }
+  return S;
+}
+
+/// Every node under \p E, parents before children.
+void collectNodes(const Expr *E, std::vector<const Expr *> &Out) {
+  Out.push_back(E);
+  switch (E->kind()) {
+  case ExprKind::Lam:
+    collectNodes(cast<LamExpr>(E)->body(), Out);
+    break;
+  case ExprKind::App:
+    collectNodes(cast<AppExpr>(E)->fn(), Out);
+    for (const Expr *A : cast<AppExpr>(E)->args())
+      collectNodes(A, Out);
+    break;
+  case ExprKind::Let:
+    collectNodes(cast<LetExpr>(E)->bound(), Out);
+    collectNodes(cast<LetExpr>(E)->body(), Out);
+    break;
+  case ExprKind::Seq:
+    collectNodes(cast<SeqExpr>(E)->first(), Out);
+    collectNodes(cast<SeqExpr>(E)->second(), Out);
+    break;
+  case ExprKind::If:
+    collectNodes(cast<IfExpr>(E)->cond(), Out);
+    collectNodes(cast<IfExpr>(E)->thenExpr(), Out);
+    collectNodes(cast<IfExpr>(E)->elseExpr(), Out);
+    break;
+  case ExprKind::Match:
+    for (const MatchArm &Arm : cast<MatchExpr>(E)->arms())
+      collectNodes(Arm.Body, Out);
+    break;
+  case ExprKind::Con:
+    for (const Expr *A : cast<ConExpr>(E)->args())
+      collectNodes(A, Out);
+    break;
+  case ExprKind::Prim:
+    for (const Expr *A : cast<PrimExpr>(E)->args())
+      collectNodes(A, Out);
+    break;
+  case ExprKind::Dup:
+  case ExprKind::Drop:
+  case ExprKind::Free:
+  case ExprKind::DecRef:
+    collectNodes(cast<RcStmtExpr>(E)->rest(), Out);
+    break;
+  case ExprKind::IsUnique:
+    collectNodes(cast<IsUniqueExpr>(E)->thenExpr(), Out);
+    collectNodes(cast<IsUniqueExpr>(E)->elseExpr(), Out);
+    break;
+  case ExprKind::DropReuse:
+    collectNodes(cast<DropReuseExpr>(E)->rest(), Out);
+    break;
+  case ExprKind::IsNullToken:
+    collectNodes(cast<IsNullTokenExpr>(E)->thenExpr(), Out);
+    collectNodes(cast<IsNullTokenExpr>(E)->elseExpr(), Out);
+    break;
+  case ExprKind::SetField:
+    collectNodes(cast<SetFieldExpr>(E)->value(), Out);
+    collectNodes(cast<SetFieldExpr>(E)->rest(), Out);
+    break;
+  default:
+    break;
+  }
+}
+
+/// Checks every node of every function of \p P against naiveFv, with
+/// the table filled three ways: from the root down, from the leaves up
+/// (so walks stop at tabled subtrees), and in a shuffled order.
+void expectTableMatchesNaive(const Program &P, Rng &R) {
+  FreeVarAnalysis TopDown, BottomUp, Shuffled;
+  std::vector<std::pair<VarSetRef, RefSet>> Held;
+  for (FuncId F = 0; F != P.numFunctions(); ++F) {
+    std::vector<const Expr *> Nodes;
+    collectNodes(P.function(F).Body, Nodes);
+    std::vector<RefSet> Want;
+    for (const Expr *E : Nodes)
+      Want.push_back(naiveFv(E));
+    for (size_t I = 0; I != Nodes.size(); ++I) {
+      Held.push_back({TopDown.freeVars(Nodes[I]), Want[I]});
+      ASSERT_EQ(ref(Held.back().first), Want[I]);
+    }
+    for (size_t I = Nodes.size(); I-- > 0;)
+      ASSERT_EQ(ref(BottomUp.freeVars(Nodes[I])), Want[I]);
+    // Shuffled queries into a table cleared between functions.
+    Shuffled.clear();
+    std::vector<size_t> Order(Nodes.size());
+    for (size_t I = 0; I != Order.size(); ++I)
+      Order[I] = I;
+    for (size_t I = Order.size(); I > 1; --I)
+      std::swap(Order[I - 1], Order[R.below(I)]);
+    for (size_t I : Order)
+      ASSERT_EQ(ref(Shuffled.freeVars(Nodes[I])), Want[I]);
+  }
+  // Views stay valid while the (never cleared) table grows.
+  for (const auto &[View, Want] : Held)
+    ASSERT_EQ(ref(View), Want);
+}
+
+TEST(FreeVarModel, MatchesNaiveFvOnGeneratedTerms) {
+  for (unsigned Seed = 1; Seed <= 150; ++Seed) {
+    Rng R(Seed);
+    Program P;
+    generateTerm(P, R, 6);
+    expectTableMatchesNaive(P, R);
+  }
+}
+
+TEST(FreeVarModel, MatchesNaiveFvAfterTheRcPasses) {
+  // After the pipeline the IR holds every RC form (dup/drop, is-unique,
+  // drop-reuse, reuse tokens, field writes, token values).
+  const PassConfig Configs[] = {PassConfig::perceusFull(),
+                                PassConfig::perceusBorrow(),
+                                PassConfig::scoped()};
+  for (const PassConfig &C : Configs) {
+    for (unsigned Seed = 1; Seed <= 60; ++Seed) {
+      Rng R(Seed);
+      Program P;
+      generateTerm(P, R, 6);
+      runPipeline(P, C);
+      expectTableMatchesNaive(P, R);
+    }
+    for (const char *Src : {rbtreeSource(), derivSource(), msortSource()}) {
+      Program P;
+      DiagnosticEngine D;
+      ASSERT_TRUE(compileSource(Src, P, D)) << D.str();
+      runPipeline(P, C);
+      Rng R(7);
+      expectTableMatchesNaive(P, R);
+    }
+  }
 }
 
 struct AnalysisTest : ::testing::Test {
@@ -98,9 +440,10 @@ TEST_F(AnalysisTest, RcOperandsAreFree) {
 TEST_F(AnalysisTest, CacheIsConsistent) {
   Symbol X = B.sym("x");
   const Expr *E = B.prim(PrimOp::Add, {B.var(X), B.var(X)});
-  const VarSet &S1 = FV.freeVars(E);
-  const VarSet &S2 = FV.freeVars(E);
-  EXPECT_EQ(&S1, &S2); // memoized
+  VarSetRef S1 = FV.freeVars(E);
+  VarSetRef S2 = FV.freeVars(E);
+  EXPECT_EQ(S1.begin(), S2.begin()); // tabled: the same slice
+  EXPECT_EQ(S1, VarSet{X});
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,6 +105,90 @@ TEST(PercCli, BadFlagValuesAreRejected) {
   EXPECT_EQ(runPerc(prog("nqueens.perc") + " --engine=jit 6"), 1);
   EXPECT_EQ(runPerc(prog("nqueens.perc") + " --config=bogus 6"), 1);
   EXPECT_NE(runPerc("/no/such/file.perc"), 0);
+}
+
+/// Runs perc with \p ArgsLine; returns stdout and stderr together and
+/// stores the exit code in \p ExitCode.
+std::string runPercOutput(const std::string &ArgsLine, int &ExitCode) {
+  std::string OutPath = testing::TempDir() + "/perc_out.txt";
+  std::string Cmd = std::string(PERCEUS_PERC_PATH) + " " + ArgsLine + " > " +
+                    OutPath + " 2>&1";
+  int Status = std::system(Cmd.c_str());
+  ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  std::stringstream Out;
+  Out << std::ifstream(OutPath).rdbuf();
+  return Out.str();
+}
+
+/// A program declaring one constructor with \p Fields fields, built and
+/// taken apart by main.
+std::string wideCtorProgram(unsigned Fields) {
+  std::string Names, Args;
+  for (unsigned I = 0; I != Fields; ++I) {
+    Names += (I ? ", f" : "f") + std::to_string(I);
+    Args += I ? ", n" : "n";
+  }
+  return "type wide {\n  Wide(" + Names + ")\n}\n\nfun main(n) {\n" +
+         "  match Wide(" + Args + ") {\n    Wide(" + Names +
+         ") -> f0 + f" + std::to_string(Fields - 1) + "\n  }\n}\n";
+}
+
+TEST(PercCli, ConstructorWiderThanACellHeaderIsACompileError) {
+  // A cell records its field count in one byte, so a 300-field cell's
+  // header was truncated at allocation (the VM then trapped on a wrong
+  // field, or crashed). Such a constructor is now rejected before
+  // anything runs; 255 fields, the limit, still works on both engines.
+  std::string Wide = testing::TempDir() + "/wide300.perc";
+  std::ofstream(Wide) << wideCtorProgram(300);
+  std::string Edge = testing::TempDir() + "/wide255.perc";
+  std::ofstream(Edge) << wideCtorProgram(255);
+  for (const std::string E : {"cek", "vm"}) {
+    int Exit = -1;
+    std::string Out = runPercOutput(Wide + " --engine=" + E + " 5", Exit);
+    EXPECT_EQ(Exit, 1) << E;
+    EXPECT_NE(Out.find("has 300 fields; at most 255"), std::string::npos)
+        << Out;
+    Out = runPercOutput(Edge + " --engine=" + E + " --stats 5", Exit);
+    EXPECT_EQ(Exit, 0) << E << ": " << Out;
+    EXPECT_NE(Out.find("leaked-cells=0"), std::string::npos) << Out;
+  }
+}
+
+TEST(PercCli, PassStatsTimesEveryPass) {
+  // One row per pass that ran, each ending in its wall time in ms. The
+  // values vary from run to run; the keys and the shape are the API.
+  int Exit = -1;
+  std::string Out =
+      runPercOutput(prog("nqueens.perc") + " --pass-stats", Exit);
+  EXPECT_EQ(Exit, 0);
+  std::istringstream Lines(Out);
+  std::string Line;
+  std::vector<std::string> Rows;
+  bool InTable = false;
+  while (std::getline(Lines, Line)) {
+    if (Line.rfind("pass ", 0) == 0) {
+      EXPECT_EQ(Line.substr(Line.find_last_not_of(' ') - 1), "ms") << Line;
+      InTable = true;
+      continue;
+    }
+    if (!InTable)
+      continue;
+    if (Line.empty()) // the table ends at the first blank line
+      break;
+    Rows.push_back(Line);
+  }
+  const char *Passes[] = {"input",
+                          "perceus insertion (2.2)",
+                          "reuse analysis (2.4)",
+                          "reuse specialization (2.5)",
+                          "drop specialization (2.3)",
+                          "dup push-down + fusion (2.3)"};
+  ASSERT_GE(Rows.size(), std::size(Passes)) << Out;
+  for (size_t I = 0; I != std::size(Passes); ++I) {
+    EXPECT_EQ(Rows[I].rfind(Passes[I], 0), 0u) << Rows[I];
+    double Ms = std::stod(Rows[I].substr(Rows[I].find_last_of(' ') + 1));
+    EXPECT_GE(Ms, 0.0) << Rows[I];
+  }
 }
 
 /// Runs `perc <ArgsLine>` with \p StdinText on stdin; returns stdout

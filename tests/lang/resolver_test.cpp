@@ -57,6 +57,50 @@ TEST(Resolver, ArityErrors) {
       "type t { C(a) } fun f(x) { match x { C(a, b) -> 1 } }"));
 }
 
+/// "f0, f1, ..., f{N-1}" (or with another prefix).
+std::string names(unsigned N, const char *Prefix = "f") {
+  std::string S;
+  for (unsigned I = 0; I != N; ++I)
+    S += (I ? ", " : "") + std::string(Prefix) + std::to_string(I);
+  return S;
+}
+
+/// Compiles \p Src expecting failure; returns the diagnostics.
+std::string compileError(std::string_view Src) {
+  Program P;
+  DiagnosticEngine D;
+  EXPECT_FALSE(compileSource(Src, P, D));
+  return D.str();
+}
+
+TEST(Resolver, ProgramsBeyondTheCellHeaderAreErrors) {
+  // A cell header keeps the field count and the constructor tag in one
+  // byte each, and a closure cell holds its code word plus the captures.
+  EXPECT_NE(compileError("type t { C(" + names(256) + ") }")
+                .find("constructor 'C' has 256 fields; at most 255"),
+            std::string::npos);
+  compileOk("type t { C(" + names(255) + ") }");
+
+  std::string Ctors;
+  for (unsigned I = 0; I != 257; ++I)
+    Ctors += " K" + std::to_string(I);
+  EXPECT_NE(compileError("type t {" + Ctors + " }")
+                .find("type 't' has 257 constructors; at most 256"),
+            std::string::npos);
+  compileOk("type t {" + Ctors.substr(0, Ctors.rfind(' ')) + " }");
+
+  std::string Vals, Sum;
+  for (unsigned I = 0; I != 255; ++I) {
+    Vals += "val v" + std::to_string(I) + " = n + 1; ";
+    Sum += " + v" + std::to_string(I);
+  }
+  EXPECT_NE(compileError("fun f(n) { " + Vals + "fn(y) { y" + Sum + " } }")
+                .find("lambda captures 255 variables; at most 254"),
+            std::string::npos);
+  compileOk("fun f(n) { " + Vals + "fn(y) { y" +
+            Sum.substr(0, Sum.rfind(" + ")) + " } }");
+}
+
 TEST(Resolver, DuplicateDeclarationsAreErrors) {
   EXPECT_TRUE(compileFails("fun f() { 1 } fun f() { 2 }"));
   EXPECT_TRUE(compileFails("type t { C } type t { D }"));

