@@ -26,67 +26,14 @@
 #include "bytecode/Bytecode.h"
 #include "eval/Engine.h"
 #include "runtime/Heap.h"
+#include "support/FlatStack.h"
 
-#include <algorithm>
 #include <chrono>
-#include <memory>
 #include <functional>
 #include <string>
 #include <vector>
 
 namespace perceus {
-
-/// The flat register stack backing all frames: a drop-in for
-/// std::vector<Value> whose size changes stay inline. Frames grow and
-/// shrink on every call and return, and libstdc++'s out-of-line
-/// default-append path showed up at ~5% of VM time on the Figure 9 set.
-/// Value is trivially copyable, so reframing is a size update plus a
-/// unit-fill of the fresh slots; only capacity growth leaves the fast
-/// path.
-class RegStack {
-public:
-  Value *data() { return Mem.get(); }
-  const Value *begin() const { return Mem.get(); }
-  const Value *end() const { return Mem.get() + Sz; }
-  size_t size() const { return Sz; }
-  Value &operator[](size_t I) { return Mem[I]; }
-  void clear() { Sz = 0; }
-
-  void assign(const Value *First, const Value *Last) {
-    size_t N = static_cast<size_t>(Last - First);
-    if (N > Cap)
-      grow(N);
-    std::copy(First, Last, Mem.get());
-    Sz = N;
-  }
-  void assign(size_t N, Value V) {
-    if (N > Cap)
-      grow(N);
-    std::fill(Mem.get(), Mem.get() + N, V);
-    Sz = N;
-  }
-
-  /// Sets the stack to \p N slots with slots [From, N) unit-initialized
-  /// — the combined frame-resize + argument-window-clear every call
-  /// executes. \p From never exceeds \p N (arguments fit the frame).
-  void reframe(size_t N, size_t From) {
-    if (N > Cap)
-      grow(N);
-    Value *D = Mem.get();
-    for (size_t I = From; I < N; ++I)
-      D[I] = Value::unit();
-    Sz = N;
-  }
-
-  /// vector::resize semantics: growth unit-initializes, shrink truncates.
-  void resize(size_t N) { reframe(N, Sz < N ? Sz : N); }
-
-private:
-  void grow(size_t N);
-
-  std::unique_ptr<Value[]> Mem;
-  size_t Sz = 0, Cap = 0;
-};
 
 /// Executes compiled programs; see the file comment. One VM per thread:
 /// the CompiledProgram is immutable and shareable, the VM is not.
@@ -137,7 +84,7 @@ private:
   const CompiledProgram &CP;
   Heap &H;
 
-  RegStack Regs; ///< one overlapped register stack, all frames
+  FlatStack<Value> Regs; ///< one overlapped register stack, all frames
   std::vector<Frame> Frames;
   Value Result;
 

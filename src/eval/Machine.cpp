@@ -9,7 +9,9 @@
 #include "support/Casting.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <limits>
+#include <type_traits>
 
 using namespace perceus;
 
@@ -85,9 +87,13 @@ RunResult Machine::run(FuncId F, std::vector<Value> Args) {
   if (DeadlineMs)
     DeadlineAt = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(DeadlineMs);
-  SafepointArmed = DeadlineMs != 0 || H.sharedCoalescingEnabled();
-  if (SafepointArmed)
-    SafepointCountdown = DeadlineCheckInterval;
+  constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
+  FuelEnd = StepLimit == 0 || StepLimit == Never ? Never : StepLimit + 1;
+  NextSafepoint = DeadlineMs != 0 || H.sharedCoalescingEnabled()
+                      ? DeadlineCheckInterval
+                      : Never;
+  NextEvent = std::min(FuelEnd, NextSafepoint);
+  HighWaterStep = 0;
   Locals.clear();
   Operands.clear();
   Konts.clear();
@@ -107,12 +113,10 @@ RunResult Machine::run(FuncId F, std::vector<Value> Args) {
   Locals.resize(Layout.FuncFrameSize[F]);
   for (size_t I = 0; I != Args.size(); ++I)
     Locals[I] = Args[I];
+  noteFrameGrowth();
   Code = Fn.Body;
 
-  while (!Trapped) {
-    if (!step())
-      break;
-  }
+  execute();
 
   if (!Trapped) {
     R.Ok = true;
@@ -134,470 +138,514 @@ RunResult Machine::run(FuncId F, std::vector<Value> Args) {
   return R;
 }
 
-/// One machine transition. Returns false when the run completed.
-bool Machine::step() {
-  if (Code) {
-    ++Run->Steps;
-    if (StepLimit && Run->Steps > StepLimit) {
-      trap("step limit exceeded (out of fuel)", TrapKind::OutOfFuel);
-      return false;
-    }
-    if (SafepointArmed && --SafepointCountdown == 0) {
-      SafepointCountdown = DeadlineCheckInterval;
-      // Safepoint: every SharedFlushSafepointStride-th one publishes the
-      // buffered shared-count deltas (bounded staleness for other
-      // workers; see Engine.h for why not every safepoint), then the
-      // deadline clock read.
-      if (++SafepointsSeen % SharedFlushSafepointStride == 0)
-        H.flushSharedDeltas();
-      if (DeadlineMs && std::chrono::steady_clock::now() >= DeadlineAt) {
-        trap("wall-clock deadline exceeded", TrapKind::Deadline);
-        return false;
-      }
-    }
-    if (Locals.size() > Run->MaxLocalsSlots)
-      Run->MaxLocalsSlots = Locals.size();
-    const Expr *E = Code;
-    switch (E->kind()) {
-    case ExprKind::Lit: {
-      const LitValue &V = cast<LitExpr>(E)->value();
-      switch (V.Kind) {
-      case LitKind::Int:
-        Result = Value::makeInt(V.Int);
-        break;
-      case LitKind::Bool:
-        Result = Value::makeBool(V.Int != 0);
-        break;
-      case LitKind::Unit:
-        Result = Value::unit();
-        break;
-      }
-      Code = nullptr;
-      return true;
-    }
-    case ExprKind::Var:
-      Result = local(E->layoutA());
-      Code = nullptr;
-      return true;
-    case ExprKind::Global:
-      Result = Value::makeFnRef(cast<GlobalExpr>(E)->func());
-      Code = nullptr;
-      return true;
-    case ExprKind::Lam: {
-      const auto *L = cast<LamExpr>(E);
-      size_t NCaps = L->captures().size();
-      const std::vector<uint32_t> &List = Layout.SlotLists[E->layoutA()];
-      if (Sink)
-        Sink->setSite(E, "lambda", E->loc());
-      Cell *C = H.alloc(static_cast<uint32_t>(NCaps + 1), 0,
-                        CellKind::Closure);
-      if (!C) {
-        trap("out of memory allocating a closure", TrapKind::OutOfMemory);
-        return false;
-      }
-      H.initField(C, 0, Value::makeRaw(L));
-      for (size_t I = 0; I != NCaps; ++I) // ownership moves into the closure
-        H.initField(C, static_cast<uint32_t>(1 + I), local(List[I]));
-      Result = Value::makeRef(C);
-      Code = nullptr;
-      return true;
-    }
-    case ExprKind::App: {
-      const auto *A = cast<AppExpr>(E);
-      Kont K;
-      K.Kind = Kont::K::Args;
-      K.Node = E;
-      K.Next = 1; // component 0 (the callee) is evaluated first
-      K.Base = Operands.size();
-      Konts.push_back(K);
-      Code = A->fn();
-      return true;
-    }
-    case ExprKind::Let: {
-      const auto *L = cast<LetExpr>(E);
-      // Superinstruction: the drop-reuse specialized form
-      //   val ru = if is-unique(x) then {rc ops; &v} else {rc ops; NULL}
-      // executes in one dispatch.
-      if (const auto *U = dyn_cast<IsUniqueExpr>(L->bound())) {
-        if (Sink)
-          Sink->setSite(U, "is-unique", U->loc());
-        ++Run->Rc.IsUniques;
-        const Expr *Branch = H.isUnique(local(U->layoutA()))
-                                 ? U->thenExpr()
-                                 : U->elseExpr();
-        Value Tok;
-        if (tryRunRcChainToToken(Branch, Tok)) {
-          local(L->layoutA()) = Tok;
-          Code = L->body();
-          return true;
-        }
-      }
-      Kont K;
-      K.Kind = Kont::K::Let;
-      K.Node = E;
-      Konts.push_back(K);
-      Code = L->bound();
-      return true;
-    }
-    case ExprKind::Seq: {
-      const auto *S = cast<SeqExpr>(E);
-      // Superinstruction: a drop-specialized statement
-      //   if is-unique(x) then {rc ops; ()} else {rc ops; ()}; rest
-      // executes in one dispatch, like the straight-line code a compiler
-      // would emit for it.
-      if (const auto *U = dyn_cast<IsUniqueExpr>(S->first())) {
-        if (Sink)
-          Sink->setSite(U, "is-unique", U->loc());
-        ++Run->Rc.IsUniques;
-        const Expr *Branch = H.isUnique(local(U->layoutA()))
-                                 ? U->thenExpr()
-                                 : U->elseExpr();
-        if (const Expr *Rest = tryRunRcChainToUnit(Branch)) {
-          (void)Rest;
-          Code = S->second();
-          return true;
-        }
-        // Unusual branch shape: evaluate generically.
-      }
-      Kont K;
-      K.Kind = Kont::K::Seq;
-      K.Node = S->second();
-      Konts.push_back(K);
-      Code = S->first();
-      return true;
-    }
-    case ExprKind::If: {
-      const auto *I = cast<IfExpr>(E);
-      Kont K;
-      K.Kind = Kont::K::If;
-      K.Node = E;
-      Konts.push_back(K);
-      Code = I->cond();
-      return true;
-    }
-    case ExprKind::Match: {
-      const auto *M = cast<MatchExpr>(E);
-      Value V = local(E->layoutA());
-      const std::vector<uint32_t> &Binders = Layout.SlotLists[E->layoutB()];
-      size_t Offset = 0;
-      const MatchArm *Default = nullptr;
-      size_t DefaultOffset = 0;
-      for (const MatchArm &Arm : M->arms()) {
-        bool Matches = false;
-        switch (Arm.Kind) {
-        case ArmKind::Ctor: {
-          const CtorDecl &C = P.ctor(Arm.Ctor);
-          if (V.Kind == ValueKind::Enum)
-            Matches = V.enumTag() == C.Tag;
-          else if (V.Kind == ValueKind::HeapRef &&
-                   V.Ref->H.Kind == CellKind::Ctor)
-            Matches = V.Ref->H.Tag == C.Tag;
-          else if (V.Kind != ValueKind::Enum &&
-                   V.Kind != ValueKind::HeapRef) {
-            trap("match on a non-constructor value");
-            return false;
-          }
-          break;
-        }
-        case ArmKind::IntLit:
-          if (V.Kind != ValueKind::Int) {
-            trap("integer pattern on a non-integer value");
-            return false;
-          }
-          Matches = V.Int == Arm.Lit.Int;
-          break;
-        case ArmKind::BoolLit:
-          if (V.Kind != ValueKind::Bool) {
-            trap("boolean pattern on a non-boolean value");
-            return false;
-          }
-          Matches = (V.Int != 0) == (Arm.Lit.Int != 0);
-          break;
-        case ArmKind::Default:
-          Default = &Arm;
-          DefaultOffset = Offset;
-          break;
-        }
-        if (Matches) {
-          for (size_t I = 0; I != Arm.Binders.size(); ++I)
-            Locals[CurBase + Binders[Offset + I]] =
-                V.Ref->field(static_cast<uint32_t>(I));
-          Code = Arm.Body;
-          return true;
-        }
-        Offset += Arm.Binders.size();
-      }
-      if (Default) {
-        (void)DefaultOffset;
-        Code = Default->Body;
-        return true;
-      }
-      trap("non-exhaustive match");
-      return false;
-    }
-    case ExprKind::Con: {
-      const auto *C = cast<ConExpr>(E);
-      const CtorDecl &D = P.ctor(C->ctor());
-      if (D.Arity == 0) {
-        Result = Value::makeEnum(D.DataId, D.Tag);
-        Code = nullptr;
-        return true;
-      }
-      Kont K;
-      K.Kind = Kont::K::Args;
-      K.Node = E;
-      K.Next = 1;
-      K.Base = Operands.size();
-      Konts.push_back(K);
-      Code = C->args()[0];
-      return true;
-    }
-    case ExprKind::Prim: {
-      const auto *Pr = cast<PrimExpr>(E);
-      if (Pr->args().empty()) {
-        finishPrim(Pr, Operands.size());
-        return !Trapped;
-      }
-      Kont K;
-      K.Kind = Kont::K::Args;
-      K.Node = E;
-      K.Next = 1;
-      K.Base = Operands.size();
-      Konts.push_back(K);
-      Code = Pr->args()[0];
-      return true;
-    }
+/// Charges one dispatch against the fuel and the safepoint cadence.
+/// False when it trapped.
+inline bool Machine::countStep() {
+  if (++Run->Steps < NextEvent) [[likely]]
+    return true;
+  return stepEvent();
+}
 
-    //===--- RC instructions ------------------------------------------------//
-    case ExprKind::Dup:
-      if (Sink)
-        Sink->setSite(E, "dup", E->loc());
-      ++Run->Rc.Dups;
-      H.dup(local(E->layoutA()));
-      Code = cast<DupExpr>(E)->rest();
+/// The rare half of countStep(), reached on step NextEvent: either the
+/// fuel runs out, or a safepoint is due. A safepoint publishes the
+/// buffered shared-count deltas every SharedFlushSafepointStride-th time
+/// (bounded staleness for other workers; see Engine.h for why not every
+/// time), then reads the deadline clock.
+bool Machine::stepEvent() {
+  uint64_t Steps = Run->Steps;
+  if (Steps < FuelEnd) {
+    NextSafepoint += DeadlineCheckInterval;
+    NextEvent = std::min(FuelEnd, NextSafepoint);
+    if (++SafepointsSeen % SharedFlushSafepointStride == 0)
+      H.flushSharedDeltas();
+    if (!DeadlineMs || std::chrono::steady_clock::now() < DeadlineAt)
       return true;
-    case ExprKind::Drop:
-      if (Sink)
-        Sink->setSite(E, "drop", E->loc());
-      ++Run->Rc.Drops;
-      H.drop(local(E->layoutA()));
-      Code = cast<DropExpr>(E)->rest();
-      return true;
-    case ExprKind::Free: {
-      // `free` is memory-only disposal, not an RC operation: it never
-      // reaches the heap's dup/drop/decref API, so it stays outside the
-      // HeapStats classification invariant (tracked in Rc.Frees only).
-      if (Sink)
-        Sink->setSite(E, "free", E->loc());
-      ++Run->Rc.Frees;
-      Value V = local(E->layoutA());
-      if (V.Kind == ValueKind::HeapRef) {
-        H.freeMemoryOnly(V.Ref);
-      } else if (V.Kind == ValueKind::Token) {
-        if (V.Tok)
-          H.freeMemoryOnly(V.Tok);
-      }
-      Code = cast<FreeExpr>(E)->rest();
-      return true;
-    }
-    case ExprKind::DecRef:
-      if (Sink)
-        Sink->setSite(E, "decref", E->loc());
-      ++Run->Rc.DecRefs;
-      H.decref(local(E->layoutA()));
-      Code = cast<DecRefExpr>(E)->rest();
-      return true;
-    case ExprKind::IsUnique: {
-      const auto *U = cast<IsUniqueExpr>(E);
-      if (Sink)
-        Sink->setSite(E, "is-unique", E->loc());
-      ++Run->Rc.IsUniques;
-      Code = H.isUnique(local(E->layoutA())) ? U->thenExpr() : U->elseExpr();
-      return true;
-    }
-    case ExprKind::DropReuse: {
-      const auto *D = cast<DropReuseExpr>(E);
-      Value V = local(E->layoutA());
-      if (V.Kind != ValueKind::HeapRef) {
-        trap("drop-reuse of a non-heap value");
-        return false;
-      }
-      if (Sink)
-        Sink->setSite(E, "drop-reuse", E->loc());
-      ++Run->Rc.DropReuses;
-      ++Run->Rc.IsUniques; // the probe below is a real is-unique test
-      if (H.isUnique(V)) {
-        Run->Rc.ImplicitDrops += V.Ref->H.Arity; // dropChildren drops each
-        H.dropChildren(V.Ref);
-        local(E->layoutB()) = Value::makeToken(V.Ref);
-      } else {
-        ++Run->Rc.ImplicitDecRefs;
-        H.decref(V);
-        local(E->layoutB()) = Value::makeToken(nullptr);
-      }
-      Code = D->rest();
-      return true;
-    }
-    case ExprKind::ReuseAddr: {
-      Value V = local(E->layoutA());
-      if (V.Kind != ValueKind::HeapRef) {
-        trap("reuse-addr of a non-heap value");
-        return false;
-      }
-      Result = Value::makeToken(V.Ref);
-      Code = nullptr;
-      return true;
-    }
-    case ExprKind::NullToken:
-      Result = Value::makeToken(nullptr);
-      Code = nullptr;
-      return true;
-    case ExprKind::IsNullToken: {
-      const auto *N = cast<IsNullTokenExpr>(E);
-      Value V = local(E->layoutA());
-      if (V.Tok == nullptr) {
-        // The reuse-specialized fresh path: the pairing missed.
-        ++Run->ReuseMisses;
-        if (Sink) {
-          Sink->setSite(E, "is-null-token", E->loc());
-          Sink->record(RcEvent::ReuseMiss, 0);
-        }
-        Code = N->thenExpr();
-      } else {
-        Code = N->elseExpr();
-      }
-      return true;
-    }
-    case ExprKind::SetField: {
-      const auto *S = cast<SetFieldExpr>(E);
-      Kont K;
-      K.Kind = Kont::K::SetField;
-      K.Node = E;
-      Konts.push_back(K);
-      Code = S->value();
-      return true;
-    }
-    case ExprKind::TokenValue: {
-      const auto *T = cast<TokenValueExpr>(E);
-      Value V = local(E->layoutA());
-      if (V.Kind != ValueKind::Token || !V.Tok) {
-        trap("token value of a null or non-token");
-        return false;
-      }
-      Cell *C = V.Tok;
-      C->H.Tag = static_cast<uint8_t>(P.ctor(T->ctor()).Tag);
-      C->H.Kind = CellKind::Ctor;
-      ++Run->ReuseHits;
-      if (Sink) {
-        Sink->setSite(E, "token-value", E->loc());
-        Sink->record(RcEvent::ReuseHit, Cell::allocSize(C->H.Arity));
-      }
-      Result = Value::makeRef(C);
-      Code = nullptr;
-      return true;
-    }
-    }
-    trap("unhandled expression kind");
-    return false;
   }
-
-  // Apply phase: feed Result to the top continuation.
-  if (Konts.empty())
-    return false; // run complete
-  Kont K = Konts.back();
-  switch (K.Kind) {
-  case Kont::K::Ret:
-    Konts.pop_back();
-    Locals.resize(K.FrameStart);
-    CurBase = K.Base;
-    --CallDepth;
-    return true;
-  case Kont::K::Let: {
-    Konts.pop_back();
-    const auto *L = cast<LetExpr>(K.Node);
-    local(L->layoutA()) = Result;
-    Code = L->body();
-    return true;
-  }
-  case Kont::K::Seq:
-    Konts.pop_back();
-    Code = K.Node;
-    return true;
-  case Kont::K::If: {
-    Konts.pop_back();
-    const auto *I = cast<IfExpr>(K.Node);
-    if (Result.Kind != ValueKind::Bool) {
-      trap("if condition is not a boolean");
-      return false;
-    }
-    Code = Result.asBool() ? I->thenExpr() : I->elseExpr();
-    return true;
-  }
-  case Kont::K::SetField: {
-    Konts.pop_back();
-    const auto *S = cast<SetFieldExpr>(K.Node);
-    Value Tok = local(S->layoutA());
-    if (Tok.Kind != ValueKind::Token || !Tok.Tok) {
-      trap("field assignment through a null token");
-      return false;
-    }
-    H.setField(Tok.Tok, S->index(), Result);
-    Code = S->rest();
-    return true;
-  }
-  case Kont::K::Args:
-    finishArgs(K);
-    return !Trapped;
-  }
+  // The step traps before its dispatch runs; if it was the first one in
+  // a newly grown frame, that frame never counted toward the high-water
+  // mark.
+  if (Steps == HighWaterStep)
+    Run->MaxLocalsSlots = HighWaterPrev;
+  if (Steps >= FuelEnd)
+    trap("step limit exceeded (out of fuel)", TrapKind::OutOfFuel);
+  else
+    trap("wall-clock deadline exceeded", TrapKind::Deadline);
   return false;
 }
 
-/// Collects the just-produced value and either evaluates the next
-/// component or completes the application/constructor/primitive.
-void Machine::finishArgs(const Kont &K) {
-  Operands.push_back(Result);
-  Kont &Top = Konts.back();
-  const Expr *Node = K.Node;
-  switch (Node->kind()) {
-  case ExprKind::App: {
-    const auto *A = cast<AppExpr>(Node);
-    size_t Total = 1 + A->args().size();
-    if (Top.Next < Total) {
-      Code = A->args()[Top.Next - 1];
-      ++Top.Next;
+/// Raises MaxLocalsSlots after the locals stack grew. The next step is
+/// the first dispatch in the grown frame; stepEvent() undoes the raise if
+/// that step traps.
+inline void Machine::noteFrameGrowth() {
+  if (Locals.size() > Run->MaxLocalsSlots) {
+    HighWaterPrev = Run->MaxLocalsSlots;
+    HighWaterStep = Run->Steps + 1;
+    Run->MaxLocalsSlots = Locals.size();
+  }
+}
+
+/// Whether \p E is evaluated in place where it appears as a component
+/// (see the step-accounting note in Machine.h).
+static bool isAtom(const Expr *E) {
+  ExprKind K = E->kind();
+  return K == ExprKind::Var || K == ExprKind::Lit || K == ExprKind::Global;
+}
+
+/// The value of an atom (isAtom).
+inline Value Machine::atomValue(const Expr *E) {
+  switch (E->kind()) {
+  case ExprKind::Var:
+    return local(E->layoutA());
+  case ExprKind::Global:
+    return Value::makeFnRef(cast<GlobalExpr>(E)->func());
+  default: {
+    const LitValue &V = cast<LitExpr>(E)->value();
+    switch (V.Kind) {
+    case LitKind::Int:
+      return Value::makeInt(V.Int);
+    case LitKind::Bool:
+      return Value::makeBool(V.Int != 0);
+    case LitKind::Unit:
+      break;
+    }
+    return Value::unit();
+  }
+  }
+}
+
+/// Continues the application, constructor or primitive \p N whose
+/// components before argument \p I are on the operand stack from \p Base.
+/// Atomic arguments are evaluated in place, one step each, exactly as the
+/// Args continuation would evaluate them; the first compound argument is
+/// handed to the dispatch loop under an Args continuation that resumes
+/// after it. Once every component is on the operand stack the node
+/// completes. False when a step or the completion trapped.
+template <typename NodeT>
+inline bool Machine::continueArgs(const NodeT *N, uint32_t I, size_t Base) {
+  std::span<const Expr *const> Args = N->args();
+  for (auto End = static_cast<uint32_t>(Args.size()); I != End; ++I) {
+    const Expr *C = Args[I];
+    if (!isAtom(C)) {
+      // Component 0 of an application is its callee.
+      constexpr uint32_t First = std::is_same_v<NodeT, AppExpr> ? 1 : 0;
+      Konts.push_back(Kont{Kont::K::Args, First + I + 1, N,
+                           static_cast<uint32_t>(Base), 0});
+      Code = C;
+      return true;
+    }
+    if (!countStep())
+      return false;
+    Result = atomValue(C);
+    Operands.push_back(Result);
+  }
+  Code = nullptr;
+  if constexpr (std::is_same_v<NodeT, AppExpr>)
+    doCall(Base, N->loc());
+  else if constexpr (std::is_same_v<NodeT, ConExpr>)
+    finishCon(N, Base);
+  else
+    finishPrim(N, Base);
+  return !Trapped;
+}
+
+/// The dispatch loop: runs machine transitions until the run completes
+/// (Code is null and no continuation is left) or traps. Cache-line
+/// aligned for the same reason as VM::execute.
+[[gnu::aligned(64)]] void Machine::execute() {
+  for (;;) {
+    if (const Expr *E = Code) {
+      if (!countStep())
+        return;
+      switch (E->kind()) {
+      case ExprKind::Lit:
+      case ExprKind::Var:
+      case ExprKind::Global:
+        Result = atomValue(E);
+        Code = nullptr;
+        continue;
+      case ExprKind::Lam: {
+        const auto *L = cast<LamExpr>(E);
+        size_t NCaps = L->captures().size();
+        const std::vector<uint32_t> &List = Layout.SlotLists[E->layoutA()];
+        if (Sink)
+          Sink->setSite(E, "lambda", E->loc());
+        Cell *C = H.alloc(static_cast<uint32_t>(NCaps + 1), 0,
+                          CellKind::Closure);
+        if (!C) {
+          trap("out of memory allocating a closure", TrapKind::OutOfMemory);
+          return;
+        }
+        H.initField(C, 0, Value::makeRaw(L));
+        for (size_t I = 0; I != NCaps; ++I) // ownership moves into the closure
+          H.initField(C, static_cast<uint32_t>(1 + I), local(List[I]));
+        Result = Value::makeRef(C);
+        Code = nullptr;
+        continue;
+      }
+      case ExprKind::App: {
+        const auto *A = cast<AppExpr>(E);
+        size_t Base = Operands.size();
+        const Expr *Fn = A->fn();
+        if (!isAtom(Fn)) {
+          Konts.push_back(
+              Kont{Kont::K::Args, 1, E, static_cast<uint32_t>(Base), 0});
+          Code = Fn;
+          continue;
+        }
+        if (!countStep())
+          return;
+        Result = atomValue(Fn);
+        Operands.push_back(Result);
+        if (!continueArgs(A, 0, Base))
+          return;
+        continue;
+      }
+      case ExprKind::Let: {
+        const auto *L = cast<LetExpr>(E);
+        // Superinstruction: the drop-reuse specialized form
+        //   val ru = if is-unique(x) then {rc ops; &v} else {rc ops; NULL}
+        // executes in one dispatch.
+        if (const auto *U = dyn_cast<IsUniqueExpr>(L->bound())) {
+          if (Sink)
+            Sink->setSite(U, "is-unique", U->loc());
+          ++Run->Rc.IsUniques;
+          const Expr *Branch = H.isUnique(local(U->layoutA()))
+                                   ? U->thenExpr()
+                                   : U->elseExpr();
+          Value Tok;
+          if (tryRunRcChainToToken(Branch, Tok)) {
+            local(L->layoutA()) = Tok;
+            Code = L->body();
+            continue;
+          }
+          if (Trapped)
+            return;
+        }
+        const Expr *Bound = L->bound();
+        if (isAtom(Bound)) {
+          if (!countStep())
+            return;
+          Result = atomValue(Bound);
+          local(L->layoutA()) = Result;
+          Code = L->body();
+          continue;
+        }
+        Konts.push_back(Kont{Kont::K::Let, 0, E, 0, 0});
+        Code = Bound;
+        continue;
+      }
+      case ExprKind::Seq: {
+        const auto *S = cast<SeqExpr>(E);
+        // Superinstruction: a drop-specialized statement
+        //   if is-unique(x) then {rc ops; ()} else {rc ops; ()}; rest
+        // executes in one dispatch, like the straight-line code a
+        // compiler would emit for it.
+        if (const auto *U = dyn_cast<IsUniqueExpr>(S->first())) {
+          if (Sink)
+            Sink->setSite(U, "is-unique", U->loc());
+          ++Run->Rc.IsUniques;
+          const Expr *Branch = H.isUnique(local(U->layoutA()))
+                                   ? U->thenExpr()
+                                   : U->elseExpr();
+          if (tryRunRcChainToUnit(Branch)) {
+            Code = S->second();
+            continue;
+          }
+          // Unusual branch shape: evaluate generically.
+        }
+        Konts.push_back(Kont{Kont::K::Seq, 0, S->second(), 0, 0});
+        Code = S->first();
+        continue;
+      }
+      case ExprKind::If: {
+        const auto *I = cast<IfExpr>(E);
+        const Expr *Cond = I->cond();
+        if (isAtom(Cond)) {
+          if (!countStep())
+            return;
+          Result = atomValue(Cond);
+          if (Result.Kind != ValueKind::Bool) {
+            trap("if condition is not a boolean");
+            return;
+          }
+          Code = Result.asBool() ? I->thenExpr() : I->elseExpr();
+          continue;
+        }
+        Konts.push_back(Kont{Kont::K::If, 0, E, 0, 0});
+        Code = Cond;
+        continue;
+      }
+      case ExprKind::Match: {
+        const auto *M = cast<MatchExpr>(E);
+        Value V = local(E->layoutA());
+        const std::vector<uint32_t> &Binders =
+            Layout.SlotLists[E->layoutB()];
+        size_t Offset = 0;
+        const MatchArm *Default = nullptr;
+        const MatchArm *Taken = nullptr;
+        for (const MatchArm &Arm : M->arms()) {
+          bool Matches = false;
+          switch (Arm.Kind) {
+          case ArmKind::Ctor: {
+            const CtorDecl &C = P.ctor(Arm.Ctor);
+            if (V.Kind == ValueKind::Enum)
+              Matches = V.enumTag() == C.Tag;
+            else if (V.Kind == ValueKind::HeapRef &&
+                     V.Ref->H.Kind == CellKind::Ctor)
+              Matches = V.Ref->H.Tag == C.Tag;
+            else if (V.Kind != ValueKind::Enum &&
+                     V.Kind != ValueKind::HeapRef) {
+              trap("match on a non-constructor value");
+              return;
+            }
+            break;
+          }
+          case ArmKind::IntLit:
+            if (V.Kind != ValueKind::Int) {
+              trap("integer pattern on a non-integer value");
+              return;
+            }
+            Matches = V.Int == Arm.Lit.Int;
+            break;
+          case ArmKind::BoolLit:
+            if (V.Kind != ValueKind::Bool) {
+              trap("boolean pattern on a non-boolean value");
+              return;
+            }
+            Matches = (V.Int != 0) == (Arm.Lit.Int != 0);
+            break;
+          case ArmKind::Default:
+            Default = &Arm;
+            break;
+          }
+          if (Matches) {
+            for (size_t I = 0; I != Arm.Binders.size(); ++I)
+              local(Binders[Offset + I]) =
+                  V.Ref->field(static_cast<uint32_t>(I));
+            Taken = &Arm;
+            break;
+          }
+          Offset += Arm.Binders.size();
+        }
+        if (!Taken)
+          Taken = Default;
+        if (!Taken) {
+          trap("non-exhaustive match");
+          return;
+        }
+        Code = Taken->Body;
+        continue;
+      }
+      case ExprKind::Con: {
+        const auto *C = cast<ConExpr>(E);
+        const CtorDecl &D = P.ctor(C->ctor());
+        if (D.Arity == 0) {
+          Result = Value::makeEnum(D.DataId, D.Tag);
+          Code = nullptr;
+          continue;
+        }
+        if (!continueArgs(C, 0, Operands.size()))
+          return;
+        continue;
+      }
+      case ExprKind::Prim:
+        if (!continueArgs(cast<PrimExpr>(E), 0, Operands.size()))
+          return;
+        continue;
+
+      //===--- RC instructions ----------------------------------------------//
+      case ExprKind::Dup:
+        if (Sink)
+          Sink->setSite(E, "dup", E->loc());
+        ++Run->Rc.Dups;
+        H.dup(local(E->layoutA()));
+        Code = cast<DupExpr>(E)->rest();
+        continue;
+      case ExprKind::Drop:
+        if (Sink)
+          Sink->setSite(E, "drop", E->loc());
+        ++Run->Rc.Drops;
+        H.drop(local(E->layoutA()));
+        Code = cast<DropExpr>(E)->rest();
+        continue;
+      case ExprKind::Free: {
+        // `free` is memory-only disposal, not an RC operation: it never
+        // reaches the heap's dup/drop/decref API, so it stays outside the
+        // HeapStats classification invariant (tracked in Rc.Frees only).
+        if (Sink)
+          Sink->setSite(E, "free", E->loc());
+        ++Run->Rc.Frees;
+        Value V = local(E->layoutA());
+        if (V.Kind == ValueKind::HeapRef) {
+          H.freeMemoryOnly(V.Ref);
+        } else if (V.Kind == ValueKind::Token) {
+          if (V.Tok)
+            H.freeMemoryOnly(V.Tok);
+        }
+        Code = cast<FreeExpr>(E)->rest();
+        continue;
+      }
+      case ExprKind::DecRef:
+        if (Sink)
+          Sink->setSite(E, "decref", E->loc());
+        ++Run->Rc.DecRefs;
+        H.decref(local(E->layoutA()));
+        Code = cast<DecRefExpr>(E)->rest();
+        continue;
+      case ExprKind::IsUnique: {
+        const auto *U = cast<IsUniqueExpr>(E);
+        if (Sink)
+          Sink->setSite(E, "is-unique", E->loc());
+        ++Run->Rc.IsUniques;
+        Code =
+            H.isUnique(local(E->layoutA())) ? U->thenExpr() : U->elseExpr();
+        continue;
+      }
+      case ExprKind::DropReuse: {
+        const auto *D = cast<DropReuseExpr>(E);
+        Value V = local(E->layoutA());
+        if (V.Kind != ValueKind::HeapRef) {
+          trap("drop-reuse of a non-heap value");
+          return;
+        }
+        if (Sink)
+          Sink->setSite(E, "drop-reuse", E->loc());
+        ++Run->Rc.DropReuses;
+        ++Run->Rc.IsUniques; // the probe below is a real is-unique test
+        if (H.isUnique(V)) {
+          Run->Rc.ImplicitDrops += V.Ref->H.Arity; // dropChildren drops each
+          H.dropChildren(V.Ref);
+          local(E->layoutB()) = Value::makeToken(V.Ref);
+        } else {
+          ++Run->Rc.ImplicitDecRefs;
+          H.decref(V);
+          local(E->layoutB()) = Value::makeToken(nullptr);
+        }
+        Code = D->rest();
+        continue;
+      }
+      case ExprKind::ReuseAddr: {
+        Value V = local(E->layoutA());
+        if (V.Kind != ValueKind::HeapRef) {
+          trap("reuse-addr of a non-heap value");
+          return;
+        }
+        Result = Value::makeToken(V.Ref);
+        Code = nullptr;
+        continue;
+      }
+      case ExprKind::NullToken:
+        Result = Value::makeToken(nullptr);
+        Code = nullptr;
+        continue;
+      case ExprKind::IsNullToken: {
+        const auto *N = cast<IsNullTokenExpr>(E);
+        Value V = local(E->layoutA());
+        if (V.Tok == nullptr) {
+          // The reuse-specialized fresh path: the pairing missed.
+          ++Run->ReuseMisses;
+          if (Sink) {
+            Sink->setSite(E, "is-null-token", E->loc());
+            Sink->record(RcEvent::ReuseMiss, 0);
+          }
+          Code = N->thenExpr();
+        } else {
+          Code = N->elseExpr();
+        }
+        continue;
+      }
+      case ExprKind::SetField:
+        Konts.push_back(Kont{Kont::K::SetField, 0, E, 0, 0});
+        Code = cast<SetFieldExpr>(E)->value();
+        continue;
+      case ExprKind::TokenValue: {
+        const auto *T = cast<TokenValueExpr>(E);
+        Value V = local(E->layoutA());
+        if (V.Kind != ValueKind::Token || !V.Tok) {
+          trap("token value of a null or non-token");
+          return;
+        }
+        Cell *C = V.Tok;
+        C->H.Tag = static_cast<uint8_t>(P.ctor(T->ctor()).Tag);
+        C->H.Kind = CellKind::Ctor;
+        ++Run->ReuseHits;
+        if (Sink) {
+          Sink->setSite(E, "token-value", E->loc());
+          Sink->record(RcEvent::ReuseHit, Cell::allocSize(C->H.Arity));
+        }
+        Result = Value::makeRef(C);
+        Code = nullptr;
+        continue;
+      }
+      }
+      trap("unhandled expression kind");
       return;
     }
-    size_t Base = Top.Base;
+
+    // Apply phase: feed Result to the top continuation.
+    if (Konts.empty())
+      return; // run complete
+    Kont K = Konts.back();
     Konts.pop_back();
-    doCall(Base, Node->loc());
-    return;
-  }
-  case ExprKind::Con: {
-    const auto *C = cast<ConExpr>(Node);
-    if (Top.Next < C->args().size()) {
-      Code = C->args()[Top.Next];
-      ++Top.Next;
-      return;
+    switch (K.Kind) {
+    case Kont::K::Ret:
+      Locals.resize(K.FrameStart);
+      CurBase = K.Base;
+      --CallDepth;
+      continue;
+    case Kont::K::Let: {
+      const auto *L = cast<LetExpr>(K.Node);
+      local(L->layoutA()) = Result;
+      Code = L->body();
+      continue;
     }
-    size_t Base = Top.Base;
-    Konts.pop_back();
-    finishCon(C, Base);
-    return;
-  }
-  case ExprKind::Prim: {
-    const auto *Pr = cast<PrimExpr>(Node);
-    if (Top.Next < Pr->args().size()) {
-      Code = Pr->args()[Top.Next];
-      ++Top.Next;
-      return;
+    case Kont::K::Seq:
+      Code = K.Node;
+      continue;
+    case Kont::K::If: {
+      const auto *I = cast<IfExpr>(K.Node);
+      if (Result.Kind != ValueKind::Bool) {
+        trap("if condition is not a boolean");
+        return;
+      }
+      Code = Result.asBool() ? I->thenExpr() : I->elseExpr();
+      continue;
     }
-    size_t Base = Top.Base;
-    Konts.pop_back();
-    finishPrim(Pr, Base);
+    case Kont::K::SetField: {
+      const auto *S = cast<SetFieldExpr>(K.Node);
+      Value Tok = local(S->layoutA());
+      if (Tok.Kind != ValueKind::Token || !Tok.Tok) {
+        trap("field assignment through a null token");
+        return;
+      }
+      H.setField(Tok.Tok, S->index(), Result);
+      Code = S->rest();
+      continue;
+    }
+    case Kont::K::Args: {
+      // Collect the just-produced component, then go on with the next.
+      Operands.push_back(Result);
+      bool Ok;
+      switch (K.Node->kind()) {
+      case ExprKind::App:
+        Ok = continueArgs(cast<AppExpr>(K.Node), K.Next - 1, K.Base);
+        break;
+      case ExprKind::Con:
+        Ok = continueArgs(cast<ConExpr>(K.Node), K.Next, K.Base);
+        break;
+      case ExprKind::Prim:
+        Ok = continueArgs(cast<PrimExpr>(K.Node), K.Next, K.Base);
+        break;
+      default:
+        trap("corrupt argument continuation");
+        return;
+      }
+      if (!Ok)
+        return;
+      continue;
+    }
+    }
     return;
-  }
-  default:
-    trap("corrupt argument continuation");
   }
 }
 
@@ -635,12 +683,11 @@ void Machine::doCall(size_t OperandBase, SourceLoc Loc) {
   }
 
   // Tail call: the continuation is this frame's return — reuse it.
-  bool Tail = !Konts.empty() && Konts.back().Kind == Kont::K::Ret;
   size_t NewBase;
-  if (Tail) {
+  if (!Konts.empty() && Konts.back().Kind == Kont::K::Ret) {
     ++Run->TailCalls;
-    NewBase = Konts.back().FrameStart;
     // Keep the frame's Ret continuation; replace the frame itself.
+    NewBase = Konts.back().FrameStart;
   } else {
     if (CallDepthLimit && CallDepth >= CallDepthLimit) {
       trap("call depth limit exceeded (stack overflow)",
@@ -650,27 +697,23 @@ void Machine::doCall(size_t OperandBase, SourceLoc Loc) {
     ++CallDepth;
     if (CallDepth > Run->MaxCallDepth)
       Run->MaxCallDepth = CallDepth;
-    Kont K;
-    K.Kind = Kont::K::Ret;
-    K.Base = CurBase;
-    K.FrameStart = Locals.size();
-    Konts.push_back(K);
-    NewBase = K.FrameStart;
+    NewBase = Locals.size();
+    Konts.push_back(Kont{Kont::K::Ret, 0, nullptr,
+                         static_cast<uint32_t>(CurBase),
+                         static_cast<uint32_t>(NewBase)});
   }
 
-  // Bind arguments (params occupy slots 0..n-1), then captures.
-  // Copy args aside first: a tail call shrinks the locals the operands
-  // do not live in, but the operand stack itself must be popped before
-  // we touch Locals to keep sizes consistent.
-  size_t ArgStart = OperandBase + 1;
-  if (Tail) {
-    Locals.resize(NewBase);
-  }
-  Locals.resize(NewBase + FrameSize);
+  // Bind arguments (params occupy slots 0..n-1) over a fresh frame, then
+  // captures, then pop the operands.
+  assert(NArgs <= FrameSize && "parameters fit the frame");
+  Locals.reframe(NewBase + FrameSize, NewBase + NArgs);
+  Value *Frame = Locals.data() + NewBase;
+  const Value *ArgVals = Operands.data() + OperandBase + 1;
   for (size_t I = 0; I != NArgs; ++I)
-    Locals[NewBase + I] = Operands[ArgStart + I];
+    Frame[I] = ArgVals[I];
   CurBase = NewBase;
   Operands.resize(OperandBase);
+  noteFrameGrowth();
 
   if (Lam) {
     // Rule (app_r): dup the captured environment, then drop the closure.

@@ -21,6 +21,26 @@
 ///   * explicit local/operand stacks double as precise GC roots for the
 ///     tracing-collector configuration.
 ///
+/// Execution is one dispatch loop (execute()) over three flat stacks
+/// (support/FlatStack.h): locals, operands and continuations.
+///
+/// Step accounting. `Steps` counts expression dispatches: one per
+/// expression node the machine evaluates, and nothing for handing a
+/// value to a continuation. An atomic component — a variable, literal or
+/// global reference in an application, constructor or primitive
+/// argument position, an `if` condition or a `let` bound — is evaluated
+/// in place, without pushing a continuation and popping it again, but it
+/// is still counted as exactly the one dispatch the general path would
+/// take, through the same countStep() that charges fuel and paces
+/// safepoints. Fuel exhaustion, deadline checks and shared-count flushes
+/// therefore land on the same step as if every atom went through the
+/// continuation, and at every point a trap, a collection or a safepoint
+/// can observe, the result register and the operand stack hold what the
+/// general path would hold. `MaxLocalsSlots` is raised where the locals
+/// stack grows (run entry and calls) and counts a frame only once a
+/// dispatch inside it has passed its fuel and deadline check, as if it
+/// were sampled on every dispatch.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PERCEUS_EVAL_MACHINE_H
@@ -30,6 +50,7 @@
 #include "eval/Layout.h"
 #include "ir/Program.h"
 #include "runtime/Heap.h"
+#include "support/FlatStack.h"
 
 #include <chrono>
 #include <functional>
@@ -77,19 +98,25 @@ public:
 private:
   struct Kont {
     enum class K : uint8_t { Ret, Let, Seq, If, Args, SetField } Kind;
+    uint32_t Next = 0;        // Args: next component index
     const Expr *Node = nullptr;
-    uint32_t Next = 0;    // Args: next component index
-    size_t Base = 0;      // Ret: previous frame base; Args: operand base
-    size_t FrameStart = 0; // Ret: where the returning frame begins
+    uint32_t Base = 0;        // Ret: previous frame base; Args: operand base
+    uint32_t FrameStart = 0;  // Ret: where the returning frame begins
   };
+  static_assert(sizeof(Kont) == 24, "one continuation is three words");
 
-  bool step();
+  void execute();
+  bool countStep();
+  bool stepEvent();
+  void noteFrameGrowth();
+  template <typename NodeT>
+  bool continueArgs(const NodeT *N, uint32_t I, size_t Base);
+  Value atomValue(const Expr *E);
   const Expr *tryRunRcChainToUnit(const Expr *E);
   bool tryRunRcChainToToken(const Expr *E, Value &Tok);
   void runRcChain(const Expr *E, const Expr *End);
   void trap(std::string Msg, TrapKind Kind = TrapKind::RuntimeError);
   void unwind();
-  void finishArgs(const Kont &K);
   void doCall(size_t OperandBase, SourceLoc Loc);
   void finishCon(const ConExpr *C, size_t OperandBase);
   void finishPrim(const PrimExpr *Pr, size_t OperandBase);
@@ -104,9 +131,9 @@ private:
   const Expr *Code = nullptr; // expression being evaluated (or null)
   Value Result;               // value produced when Code is null
   size_t CurBase = 0;
-  std::vector<Value> Locals;
-  std::vector<Value> Operands;
-  std::vector<Kont> Konts;
+  FlatStack<Value> Locals;
+  FlatStack<Value> Operands;
+  FlatStack<Kont> Konts;
 
   RunResult *Run = nullptr;
   StatsSink *Sink = nullptr; // cached from H.statsSink() at run() entry
@@ -115,12 +142,20 @@ private:
   uint64_t CallDepth = 0; // live non-tail (Ret) frames
   uint64_t DeadlineMs = 0;
   std::chrono::steady_clock::time_point DeadlineAt{};
-  // Safepoints fire every DeadlineCheckInterval dispatches when armed
-  // (a deadline is set, or the heap coalesces shared counts and must
-  // flush periodically so other workers observe bounded-stale counts).
-  bool SafepointArmed = false;
-  uint64_t SafepointCountdown = 0; // dispatches until the next safepoint
-  uint64_t SafepointsSeen = 0;     // paces the coalescing-buffer flush
+  // countStep() compares the step count against one bound, NextEvent:
+  // the first step that is out of fuel (FuelEnd) or due a safepoint
+  // (NextSafepoint), whichever comes first. Safepoints fire every
+  // DeadlineCheckInterval dispatches when armed (a deadline is set, or
+  // the heap coalesces shared counts and must flush periodically so
+  // other workers observe bounded-stale counts).
+  uint64_t NextEvent = 0;
+  uint64_t FuelEnd = 0;
+  uint64_t NextSafepoint = 0;
+  uint64_t SafepointsSeen = 0; // paces the coalescing-buffer flush
+  // The last raise of MaxLocalsSlots, undone if the first dispatch in
+  // the grown frame (step HighWaterStep) traps before it runs.
+  uint64_t HighWaterStep = 0;
+  uint64_t HighWaterPrev = 0;
   bool Trapped = false;
   std::function<void(Value)> ResultInspector;
 };

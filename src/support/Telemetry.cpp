@@ -86,12 +86,12 @@ void SiteTableSink::record(RcEvent E, size_t Bytes) {
 }
 
 void SiteTableSink::writeJson(JsonWriter &W) const {
-  auto emitRow = [&W](const Row &R, bool Attributed) {
+  auto emitRow = [&W](const Row &R, size_t Ordinal, bool Attributed) {
     W.beginObject();
     if (Attributed) {
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "%p", R.Site);
-      W.member("site", std::string_view(Buf));
+      // The row's ordinal, not the site's address: addresses differ
+      // from process to process, the order sites first record in does not.
+      W.member("site", "s" + std::to_string(Ordinal));
       W.member("label", std::string_view(R.Label));
       W.member("line", R.Loc.Line);
       W.member("col", R.Loc.Col);
@@ -108,13 +108,13 @@ void SiteTableSink::writeJson(JsonWriter &W) const {
   };
 
   W.beginArray();
-  for (const Row &R : Rows)
-    emitRow(R, /*Attributed=*/true);
+  for (size_t I = 0; I != Rows.size(); ++I)
+    emitRow(Rows[I], I, /*Attributed=*/true);
   bool OrphanUsed = false;
   for (uint64_t C : Orphan.Counts)
     OrphanUsed |= C != 0;
   if (OrphanUsed)
-    emitRow(Orphan, /*Attributed=*/false);
+    emitRow(Orphan, 0, /*Attributed=*/false);
   W.endArray();
 }
 

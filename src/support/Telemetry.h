@@ -149,8 +149,10 @@ public:
   const Row &unattributed() const { return Orphan; }
 
   /// Emits the table as a JSON array value (caller owns surrounding
-  /// object structure): [{"site":"0x..","label":..,"line":..,"col":..,
-  /// "dup":..,...,"bytes":..}, ...].
+  /// object structure): [{"site":"s0","label":..,"line":..,"col":..,
+  /// "dup":..,...,"bytes":..}, ...]. A site is named by its row's
+  /// ordinal ("s<N>", rows in the order sites first recorded an event),
+  /// so the same run prints the same document in every process.
   void writeJson(JsonWriter &W) const;
 
   /// Human-readable table, one line per site, for stderr reports.

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "eval/Runner.h"
+#include "programs/Programs.h"
 
 #include <gtest/gtest.h>
 
@@ -323,6 +324,141 @@ TEST(Machine, GcPreservesLiveDataAcrossCollections) {
   ASSERT_TRUE(Res.Ok) << Res.Error;
   EXPECT_EQ(Res.Result.Int, 5050);
   EXPECT_GT(R.heap().stats().Collections, 0u);
+}
+
+//===--- Engine-defined counters ---------------------------------------------//
+
+/// The CEK's own dispatch-granularity counters for one run.
+struct CekCounters {
+  uint64_t Steps, TailCalls, MaxCallDepth, MaxLocalsSlots;
+  bool operator==(const CekCounters &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const CekCounters &C) {
+  return OS << "{" << C.Steps << ", " << C.TailCalls << ", "
+            << C.MaxCallDepth << ", " << C.MaxLocalsSlots << "}";
+}
+
+CekCounters countersOf(const RunResult &R) {
+  return {R.Steps, R.TailCalls, R.MaxCallDepth, R.MaxLocalsSlots};
+}
+
+struct CounterGolden {
+  const char *Name;
+  const char *Source;
+  const char *Entry;
+  int64_t N;
+  CekCounters PerceusFull, PerceusNoOpt, Gc;
+};
+
+/// The Figure 9 programs and msort at small sizes, as {Steps, TailCalls,
+/// MaxCallDepth, MaxLocalsSlots} under perceus, perceus-noopt and gc.
+/// Steps count expression dispatches, atoms in argument, condition and
+/// bound position included (see Machine.h), so these pin the machine's
+/// step accounting: a faster dispatch loop must not move any of them.
+std::vector<CounterGolden> counterGoldens() {
+  return {
+      {"rbtree", rbtreeSource(), "bench_rbtree", 200,
+       {91511, 1135, 15, 326}, {98818, 1135, 15, 116}, {61211, 1135, 15, 116}},
+      {"rbtree-ck", rbtreeCkSource(), "bench_rbtree_ck", 200,
+       {93867, 1135, 15, 331}, {100946, 1135, 15, 121}, {63097, 1135, 15, 121}},
+      {"deriv", derivSource(), "bench_deriv", 6,
+       {11305, 535, 14, 127}, {12466, 535, 14, 118}, {9573, 535, 14, 118}},
+      {"nqueens", nqueensSource(), "bench_nqueens", 6,
+       {70088, 2019, 8, 24}, {73806, 2019, 8, 24}, {51525, 2019, 8, 24}},
+      {"cfold", cfoldSource(), "bench_cfold", 8,
+       {17629, 42, 9, 262}, {18417, 42, 9, 172}, {14424, 42, 9, 172}},
+      {"msort", msortSource(), "bench_msort", 24,
+       {5244, 47, 26, 234}, {5652, 47, 26, 157}, {3824, 47, 26, 157}},
+  };
+}
+
+TEST(MachineCounters, PinnedOnFigure9AndMsort) {
+  for (const CounterGolden &G : counterGoldens()) {
+    std::pair<PassConfig, CekCounters> Cases[] = {
+        {PassConfig::perceusFull(), G.PerceusFull},
+        {PassConfig::perceusNoOpt(), G.PerceusNoOpt},
+        {PassConfig::gc(), G.Gc}};
+    for (const auto &[Config, Want] : Cases) {
+      Runner R(G.Source, Config);
+      ASSERT_TRUE(R.ok()) << G.Name << ": " << R.diagnostics().str();
+      RunResult Res = R.callInt(G.Entry, {G.N});
+      ASSERT_TRUE(Res.Ok) << G.Name << " " << Config.name() << ": "
+                          << Res.Error;
+      EXPECT_EQ(countersOf(Res), Want) << G.Name << " " << Config.name();
+    }
+  }
+}
+
+TEST(MachineCounters, SafepointsDoNotMoveTheStepCount) {
+  // An armed deadline or shared-count coalescing makes every step pass
+  // through the safepoint cadence, in-place atoms included; neither may
+  // change what is counted.
+  for (const CounterGolden &G : counterGoldens()) {
+    Runner Plain(G.Source, PassConfig::perceusFull());
+    RunResult Base = Plain.callInt(G.Entry, {G.N});
+    ASSERT_TRUE(Base.Ok) << G.Name << ": " << Base.Error;
+
+    Runner WithDeadline(G.Source, PassConfig::perceusFull());
+    WithDeadline.engine().setDeadline(3600 * 1000);
+    RunResult D = WithDeadline.callInt(G.Entry, {G.N});
+    ASSERT_TRUE(D.Ok) << G.Name << ": " << D.Error;
+    EXPECT_EQ(countersOf(D), countersOf(Base)) << G.Name << " deadline";
+
+    Runner Coalescing(G.Source, PassConfig::perceusFull());
+    Coalescing.heap().enableSharedCoalescing();
+    RunResult C = Coalescing.callInt(G.Entry, {G.N});
+    ASSERT_TRUE(C.Ok) << G.Name << ": " << C.Error;
+    EXPECT_EQ(countersOf(C), countersOf(Base)) << G.Name << " coalescing";
+    EXPECT_TRUE(Coalescing.heapIsEmpty()) << G.Name;
+  }
+}
+
+TEST(MachineCounters, FuelTrapLandsOnTheCountedStep) {
+  // Fuel f runs exactly f dispatches: the trap fires on dispatch f + 1
+  // wherever it falls — on an in-place atom, a call's first dispatch, or
+  // anything else — and the high-water marks match a run that stopped
+  // there.
+  Runner Full(msortSource(), PassConfig::perceusFull());
+  RunResult Whole = Full.callInt("bench_msort", {24});
+  ASSERT_TRUE(Whole.Ok) << Whole.Error;
+  for (uint64_t Fuel = 1; Fuel < Whole.Steps; Fuel += 97) {
+    Runner R(msortSource(), PassConfig::perceusFull());
+    R.engine().setStepLimit(Fuel);
+    RunResult Res = R.callInt("bench_msort", {24});
+    ASSERT_FALSE(Res.Ok) << "fuel " << Fuel;
+    EXPECT_EQ(Res.Trap, TrapKind::OutOfFuel);
+    EXPECT_EQ(Res.Steps, Fuel + 1);
+    EXPECT_LE(Res.MaxLocalsSlots, Whole.MaxLocalsSlots);
+    EXPECT_TRUE(R.heapIsEmpty()) << "fuel " << Fuel;
+  }
+  Runner Exact(msortSource(), PassConfig::perceusFull());
+  Exact.engine().setStepLimit(Whole.Steps);
+  RunResult Res = Exact.callInt("bench_msort", {24});
+  ASSERT_TRUE(Res.Ok) << Res.Error;
+  EXPECT_EQ(countersOf(Res), countersOf(Whole));
+}
+
+TEST(MachineCounters, FrameCountsOnceItsFirstDispatchRuns) {
+  // MaxLocalsSlots under every fuel level of a small msort: a frame
+  // counts toward the high-water mark only once a dispatch inside it
+  // passed the fuel check, so fuel 8 (a call as the 8th dispatch, the
+  // trap on the callee's first) still reports 1 slot. Each pair is the
+  // smallest fuel that reports the given mark.
+  const std::pair<uint64_t, uint64_t> Rises[] = {
+      {1, 1},    {9, 4},    {33, 7},   {57, 10},  {81, 13},  {105, 16},
+      {123, 18}, {129, 27}, {135, 36}, {141, 45}, {147, 54}};
+  size_t Next = 0;
+  uint64_t Mark = 0;
+  for (uint64_t Fuel = 1; Fuel <= 160; ++Fuel) {
+    if (Next != std::size(Rises) && Rises[Next].first == Fuel)
+      Mark = Rises[Next++].second;
+    Runner R(msortSource(), PassConfig::perceusFull());
+    R.engine().setStepLimit(Fuel);
+    RunResult Res = R.callInt("bench_msort", {4});
+    ASSERT_FALSE(Res.Ok) << "fuel " << Fuel;
+    EXPECT_EQ(Res.MaxLocalsSlots, Mark) << "fuel " << Fuel;
+  }
 }
 
 } // namespace

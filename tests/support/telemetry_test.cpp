@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 using namespace perceus;
 
@@ -153,6 +154,34 @@ TEST(SiteTableSink, AttributesEventsToStampedSites) {
       Doc->Items[0].find("line", JsonValue::Kind::Number);
   ASSERT_NE(Line, nullptr);
   EXPECT_EQ(Line->Num, 3.0);
+  // Sites are named by row ordinal, in first-record order.
+  for (size_t I = 0; I != 2; ++I) {
+    const JsonValue *Site =
+        Doc->Items[I].find("site", JsonValue::Kind::String);
+    ASSERT_NE(Site, nullptr);
+    EXPECT_EQ(Site->Str, "s" + std::to_string(I));
+  }
+}
+
+TEST(SiteTableSink, JsonDoesNotDependOnSiteAddresses) {
+  // The same event sequence stamped from different objects (as a second
+  // process would see it under address randomization) prints the same
+  // document byte for byte.
+  auto document = [](const void *First, const void *Second) {
+    SiteTableSink S;
+    S.setSite(First, "con", SourceLoc{2, 4});
+    S.record(RcEvent::Alloc, 32);
+    S.setSite(Second, "drop", SourceLoc{7, 1});
+    S.record(RcEvent::DropCall, 0);
+    S.setSite(First, "con", SourceLoc{2, 4});
+    S.record(RcEvent::Alloc, 32);
+    JsonWriter W;
+    S.writeJson(W);
+    return W.take();
+  };
+  int A, B;
+  auto Heap1 = std::make_unique<int[]>(2);
+  EXPECT_EQ(document(&A, &B), document(&Heap1[1], &Heap1[0]));
 }
 
 TEST(SiteTableSink, OrphanRowCollectsUnstampedEvents) {
