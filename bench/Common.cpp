@@ -125,6 +125,40 @@ void perceus::bench::printRelativeTable(
   }
 }
 
+void perceus::bench::checkFlags(int Argc, char **Argv,
+                                std::initializer_list<const char *> Flags) {
+  auto accepts = [](std::string_view Flag, std::string_view Arg) {
+    size_t Eq = Flag.find('=');
+    if (Eq != std::string_view::npos)
+      return Arg.substr(0, Eq + 1) == Flag.substr(0, Eq + 1);
+    if (!Flag.empty() && Flag.back() == '*')
+      return Arg.substr(0, Flag.size() - 1) == Flag.substr(0, Flag.size() - 1);
+    return Arg == Flag;
+  };
+  auto usage = [&](std::FILE *Out) {
+    const char *Name = std::strrchr(Argv[0], '/');
+    std::fprintf(Out, "usage: %s", Name ? Name + 1 : Argv[0]);
+    for (const char *Flag : Flags)
+      std::fprintf(Out, " [%s]", Flag);
+    std::fprintf(Out, " [--help]\n");
+  };
+  for (int I = 1; I < Argc; ++I) {
+    std::string_view Arg = Argv[I];
+    if (Arg == "--help") {
+      usage(stdout);
+      std::exit(0);
+    }
+    bool Known = false;
+    for (const char *Flag : Flags)
+      Known = Known || accepts(Flag, Arg);
+    if (!Known) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", Argv[0], Argv[I]);
+      usage(stderr);
+      std::exit(2);
+    }
+  }
+}
+
 double perceus::bench::parseScale(int Argc, char **Argv, double Default) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strncmp(Argv[I], "--scale=", 8) == 0)

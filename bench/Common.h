@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -132,6 +133,15 @@ void printRelativeTable(const char *Title, const char *Unit,
                         const std::vector<std::string> &RowNames,
                         const std::vector<std::string> &ColNames,
                         const std::vector<std::vector<double>> &Values);
+
+/// Checks the whole command line before anything is measured or
+/// written. \p Flags lists every flag the driver accepts, spelled as its
+/// usage line shows it: `--name=VALUE` accepts any `--name=...`, a flag
+/// ending in `*` accepts any argument with that prefix, and any other
+/// spelling only itself. An argument matching none prints the usage line
+/// and exits 2; `--help` prints it and exits 0.
+void checkFlags(int Argc, char **Argv,
+                std::initializer_list<const char *> Flags);
 
 /// Parses `--scale=X` (default 1.0) from argv.
 double parseScale(int Argc, char **Argv, double Default = 1.0);

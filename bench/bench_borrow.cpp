@@ -22,6 +22,7 @@ using namespace perceus;
 using namespace perceus::bench;
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X"});
   double Scale = parseScale(Argc, Argv, 0.5);
   std::vector<BenchProgram> Programs = figure9Programs(Scale);
   Programs.push_back(

@@ -28,6 +28,7 @@ using namespace perceus;
 using namespace perceus::bench;
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--depth=N", "--json=PATH", "--no-json"});
   int64_t Depth = 16;
   for (int I = 1; I < Argc; ++I)
     if (std::strncmp(Argv[I], "--depth=", 8) == 0)

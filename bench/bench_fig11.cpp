@@ -21,6 +21,7 @@ using namespace perceus;
 using namespace perceus::bench;
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--json=PATH", "--no-json"});
   std::printf("Figure 11 = Figure 9 on another machine. Running the "
               "scale-stability check instead\n(run bench_fig9 on a second "
               "machine for the literal reproduction).\n");

@@ -22,6 +22,7 @@ using namespace perceus;
 using namespace perceus::bench;
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {});
   // Part 1: the static stages (Figure 1 a-g).
   {
     Program P;

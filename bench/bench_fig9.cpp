@@ -34,6 +34,8 @@ using namespace perceus;
 using namespace perceus::bench;
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--engine=cek|vm", "--json=PATH",
+                          "--no-json"});
   double Scale = parseScale(Argc, Argv);
   std::string JsonPath = parseJsonPath("fig9", Argc, Argv);
   EngineKind Engine = parseEngine(Argc, Argv);

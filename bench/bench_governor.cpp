@@ -125,6 +125,8 @@ bench::Measurement measureMapSum(bool Armed) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  bench::checkFlags(Argc, Argv,
+                    {"--json=PATH", "--no-json", "--benchmark_*"});
   std::string JsonPath = bench::parseJsonPath("governor", Argc, Argv);
   // benchmark::Initialize aborts on flags it does not know; strip ours.
   std::vector<char *> Args;

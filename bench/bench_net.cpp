@@ -301,6 +301,8 @@ PhaseResult runPhase(const BenchProgram &Prog, int64_t Work,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--requests=N", "--shards=N",
+                          "--json=PATH", "--no-json"});
   double Scale = parseScale(Argc, Argv, 1.0);
   uint64_t Requests = parseFlag(Argc, Argv, "--requests=", 120);
   unsigned Shards = static_cast<unsigned>(

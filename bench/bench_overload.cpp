@@ -235,6 +235,8 @@ std::vector<TenantOutcome> runPhase(const BenchProgram &Prog, int64_t Work,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--requests=N", "--json=PATH",
+                          "--no-json"});
   double Scale = parseScale(Argc, Argv, 1.0);
   uint64_t PoliteRequests = parseRequests(Argc, Argv, 100);
   std::string JsonPath = parseJsonPath("overload", Argc, Argv);

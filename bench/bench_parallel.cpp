@@ -111,6 +111,8 @@ Measurement runOnce(ParallelRunner &PR, const ParallelWorkload &W,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--engine=cek|vm", "--json=PATH",
+                          "--no-json"});
   double Scale = parseScale(Argc, Argv);
   std::string JsonPath = parseJsonPath("parallel", Argc, Argv);
   EngineKind Engine = parseEngine(Argc, Argv);

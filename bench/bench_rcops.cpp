@@ -22,6 +22,7 @@ using namespace perceus;
 using namespace perceus::bench;
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--json=PATH", "--no-json"});
   double Scale = parseScale(Argc, Argv, 0.2);
   std::string JsonPath = parseJsonPath("rcops", Argc, Argv);
   std::vector<BenchProgram> Programs = figure9Programs(Scale);

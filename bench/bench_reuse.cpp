@@ -94,6 +94,7 @@ bool verifyReuseByteAccounting(const char *Label, const BenchProgram &Prog,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--json=PATH", "--no-json"});
   double Scale = parseScale(Argc, Argv, 0.5);
   std::string JsonPath = parseJsonPath("reuse", Argc, Argv);
   std::vector<BenchProgram> Programs = figure9Programs(Scale);

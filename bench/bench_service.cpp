@@ -148,6 +148,8 @@ bool statsMatch(const char *Prog, const char *What, const Measurement &A,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--requests=N", "--json=PATH",
+                          "--no-json"});
   double Scale = parseScale(Argc, Argv, 1.0);
   uint64_t Requests = parseRequests(Argc, Argv, 50);
   std::string JsonPath = parseJsonPath("service", Argc, Argv);

@@ -78,6 +78,7 @@ bool statsMatch(const BenchProgram &P, const Measurement &A,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  checkFlags(Argc, Argv, {"--scale=X", "--reps=N", "--json=PATH", "--no-json"});
   double Scale = parseScale(Argc, Argv);
   uint64_t Reps = parseReps(Argc, Argv, 3);
   std::string JsonPath = parseJsonPath("vm", Argc, Argv);

@@ -8,7 +8,8 @@
 
 #include "support/Casting.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <functional>
 
 using namespace perceus;
 
@@ -20,6 +21,7 @@ namespace {
 class Analyzer {
 public:
   explicit Analyzer(const Program &P) : P(P) {
+    Env.assign(P.symbols().size(), Unbound);
     FieldImm.resize(P.numCtors());
     for (CtorId C = 0; C != P.numCtors(); ++C)
       FieldImm[C].assign(P.ctor(C).Arity, true);
@@ -32,22 +34,30 @@ public:
 
   ImmediateInfo run() {
     ImmediateInfo Info;
+    // Every round records the RC ops it visits. The round that changed
+    // nothing ran on the converged facts from start to end, so its
+    // records are the marks: a node shared between several contexts is
+    // elidable only if every visit proved its operand immediate (meet
+    // across visits).
     do {
       Changed = false;
+      Marks.clear();
       ++Info.Rounds;
       for (FuncId F = 0; F != P.numFunctions(); ++F)
         analyzeFunction(F);
     } while (Changed);
 
-    // One more pass with the converged facts to mark elidable RC ops.
-    // A node shared between several contexts is marked only if every
-    // visit proves its operand immediate (meet across visits).
-    Marking = true;
-    for (FuncId F = 0; F != P.numFunctions(); ++F)
-      analyzeFunction(F);
-    for (const auto &[E, Imm] : Marks)
-      if (Imm)
+    std::sort(Marks.begin(), Marks.end(), [](const auto &A, const auto &B) {
+      return std::less<const Expr *>()(A.first, B.first);
+    });
+    for (size_t I = 0; I != Marks.size();) {
+      const Expr *E = Marks[I].first;
+      bool Every = true;
+      for (; I != Marks.size() && Marks[I].first == E; ++I)
+        Every = Every && Marks[I].second;
+      if (Every)
         Info.ElidableRcOps.insert(E);
+    }
 
     Info.ParamImmMask.assign(P.numFunctions(), 0);
     for (FuncId F = 0; F != P.numFunctions(); ++F)
@@ -162,9 +172,11 @@ private:
     const FunctionDecl &Fn = P.function(F);
     if (!Fn.Body)
       return;
-    Env.clear();
+    for (uint32_t S : Touched)
+      Env[S] = Unbound;
+    Touched.clear();
     for (size_t I = 0; I != Fn.Params.size(); ++I)
-      Env[Fn.Params[I]] = ParamImm[F][I];
+      bind(Fn.Params[I], ParamImm[F][I]);
     bool R = eval(Fn.Body);
     constrainRet(F, R);
   }
@@ -193,17 +205,16 @@ private:
   void bind(Symbol S, bool V) {
     // Binders are alpha-renamed unique, but rewritten trees may share
     // subtrees; meet across rebinds so sharing can only lose precision.
-    auto It = Env.find(S);
-    if (It == Env.end())
-      Env.emplace(S, V);
-    else
-      It->second = It->second && V;
+    char &B = Env[S.id()];
+    if (B == Unbound) {
+      Touched.push_back(S.id());
+      B = V ? Imm : NotImm;
+    } else if (!V) {
+      B = NotImm;
+    }
   }
 
-  bool lookup(Symbol S) const {
-    auto It = Env.find(S);
-    return It != Env.end() && It->second;
-  }
+  bool lookup(Symbol S) const { return Env[S.id()] == Imm; }
 
   /// Evaluates \p E to its immediacy, applying constraints along the way.
   bool eval(const Expr *E) {
@@ -290,14 +301,7 @@ private:
     case ExprKind::Drop:
     case ExprKind::DecRef: {
       const auto *S = cast<RcStmtExpr>(E);
-      if (Marking) {
-        bool Imm = lookup(S->var());
-        auto It = Marks.find(E);
-        if (It == Marks.end())
-          Marks.emplace(E, Imm);
-        else
-          It->second = It->second && Imm;
-      }
+      Marks.emplace_back(E, lookup(S->var()));
       return eval(S->rest());
     }
     case ExprKind::Free:
@@ -353,10 +357,13 @@ private:
   std::vector<std::vector<char>> ParamImm;
   std::vector<char> RetImm;
   std::vector<char> Escapes;
-  std::unordered_map<Symbol, bool> Env;
-  std::unordered_map<const Expr *, bool> Marks;
+  /// The environment: one entry per symbol id, reset between functions
+  /// through the list of ids bound since the last reset.
+  enum : char { Unbound, NotImm, Imm };
+  std::vector<char> Env;
+  std::vector<uint32_t> Touched;
+  std::vector<std::pair<const Expr *, bool>> Marks;
   bool Changed = false;
-  bool Marking = false;
 };
 
 } // namespace

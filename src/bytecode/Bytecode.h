@@ -200,10 +200,15 @@ struct Instr {
 /// One arm of a compiled match. Arms keep their source order — the VM
 /// scans them exactly like the CEK machine does, including recording a
 /// default arm and *continuing* the scan (a later ill-typed arm still
-/// traps even when a default exists).
+/// traps even when a default exists). MatchTable::TagOnly is the one
+/// shortcut: it skips the scan where no arm could trap.
 struct MatchArmCode {
+  /// The Tag of every non-Ctor arm: above any constructor tag, so a
+  /// tag compare alone never selects it.
+  static constexpr uint32_t NoTag = UINT32_MAX;
+
   ArmKind Kind = ArmKind::Default;
-  uint32_t Tag = 0;        ///< Ctor arms: the constructor tag
+  uint32_t Tag = NoTag;    ///< Ctor arms: the constructor tag
   int64_t Lit = 0;         ///< IntLit/BoolLit arms
   uint32_t BinderBase = 0; ///< into CompiledProgram::BinderSlots
   uint32_t NumBinders = 0;
@@ -211,7 +216,16 @@ struct MatchArmCode {
 };
 
 struct MatchTable {
+  static constexpr uint32_t NoArm = UINT32_MAX;
+
   std::vector<MatchArmCode> Arms;
+  /// Every arm is a Ctor or Default arm. On a constructor scrutinee (a
+  /// constructor cell or a nullary tag) no such arm can trap, so the
+  /// scan reduces to its outcome: the first arm whose Tag equals the
+  /// scrutinee's, else the last Default arm (DefaultArm), else the
+  /// non-exhaustive trap.
+  bool TagOnly = false;
+  uint32_t DefaultArm = NoArm; ///< index of the last Default arm
 };
 
 /// The compiled body of one function or one lambda.

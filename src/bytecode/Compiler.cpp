@@ -408,11 +408,16 @@ private:
     size_t Offset = 0;
     {
       MatchTable &T = CP.Matches[TableIdx];
+      T.TagOnly = true;
       for (const MatchArm &Arm : M->arms()) {
         MatchArmCode AC;
         AC.Kind = Arm.Kind;
         if (Arm.Kind == ArmKind::Ctor)
           AC.Tag = P.ctor(Arm.Ctor).Tag;
+        else if (Arm.Kind == ArmKind::Default)
+          T.DefaultArm = static_cast<uint32_t>(T.Arms.size());
+        else
+          T.TagOnly = false;
         AC.Lit = Arm.Lit.Int;
         AC.BinderBase = static_cast<uint32_t>(CP.BinderSlots.size());
         AC.NumBinders = static_cast<uint32_t>(Arm.Binders.size());

@@ -93,13 +93,14 @@ bool cmpToBr(Op Cmp, Op &Br, CmpBrKind &K) {
   }
 }
 
-/// Rewrites one chunk: elide proven-immediate RC ops, fuse adjacent
-/// pairs/triples, remap every branch target and clone the chunk's match
-/// tables. \p CP is needed for the match-table pool (clones append).
-void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
-                  PeepholeChunkStats &St) {
-  const std::vector<Instr> OldCode = std::move(Ch.Code);
-  const std::vector<const Expr *> OldSites = std::move(Ch.Sites);
+/// Builds the rewritten form of one raw chunk: elide proven-immediate RC
+/// ops, fuse adjacent pairs/triples, remap every branch target and clone
+/// the chunk's match tables. \p CP is needed for the match-table pool
+/// (clones append).
+Chunk rewriteChunk(const Chunk &Raw, CompiledProgram &CP,
+                   const ImmediateInfo &Info, PeepholeChunkStats &St) {
+  const std::vector<Instr> &OldCode = Raw.Code;
+  const std::vector<const Expr *> &OldSites = Raw.Sites;
   const size_t N = OldCode.size();
   St.Before = static_cast<uint32_t>(N);
 
@@ -152,7 +153,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       continue;
     const uint32_t L = OldCode[Q].E;
     if (L < N && OldCode[L].O == Op::JumpIfFalse &&
-        OldCode[L].B == OldCode[P].B && OldCode[P].B >= Ch.FirstTemp &&
+        OldCode[L].B == OldCode[P].B && OldCode[P].B >= Raw.FirstTemp &&
         L + 1 <= 0xffff)
       Leader[L + 1] = 1;
   }
@@ -271,7 +272,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
              nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::LoadConst && NR && NR->O == Op::Ret &&
-                 NR->B == NQ->B && NQ->B >= Ch.FirstTemp && spanFree(P, R2)) {
+                 NR->B == NQ->B && NQ->B >= Raw.FirstTemp && spanFree(P, R2)) {
         // The tail of almost every arm body: drop the scrutinee, return
         // a constant through a dead temp.
         fuse(R2, {Op::DropRetConst, 0, 0, X.C, 0, NQ->E}, OldSites[P],
@@ -341,8 +342,8 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       Op Br;
       CmpBrKind K;
       if (NQ && NR && cmpToBr(NQ->O, Br, K) && NR->O == Op::JumpIfFalse &&
-          NQ->D == X.B && NR->B == NQ->B && NQ->B >= Ch.FirstTemp &&
-          X.B >= Ch.FirstTemp && NQ->C != X.B && X.E <= 0xffff &&
+          NQ->D == X.B && NR->B == NQ->B && NQ->B >= Raw.FirstTemp &&
+          X.B >= Raw.FirstTemp && NQ->C != X.B && X.E <= 0xffff &&
           spanFree(P, R2)) {
         // Both the constant temp and the boolean temp are dead outside
         // this expression; CmpConstBr reads the pool directly and never
@@ -353,12 +354,12 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
              OldSites[P], nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::Ret && NQ->B == X.B &&
-                 X.B >= Ch.FirstTemp && spanFree(P, Q)) {
+                 X.B >= Raw.FirstTemp && spanFree(P, Q)) {
         fuse(Q, {Op::RetConst, 0, 0, 0, 0, X.E}, OldSites[P], nullptr,
              nullptr);
         Fused = true;
       } else if (uint8_t AK;
-                 NQ && arithKind(NQ->O, AK) && X.B >= Ch.FirstTemp &&
+                 NQ && arithKind(NQ->O, AK) && X.B >= Raw.FirstTemp &&
                  X.E <= 0xffff &&
                  ((NQ->D == X.B && NQ->C != X.B) ||
                   (NQ->C == X.B && NQ->D != X.B)) &&
@@ -408,7 +409,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       Op Br;
       CmpBrKind K;
       if (NQ && NQ->O == Op::Jump && cmpToBr(X.O, Br, K) &&
-          X.B >= Ch.FirstTemp && NQ->E < N &&
+          X.B >= Raw.FirstTemp && NQ->E < N &&
           OldCode[NQ->E].O == Op::JumpIfFalse && OldCode[NQ->E].B == X.B &&
           NQ->E + 1 <= 0xffff && spanFree(P, Q)) {
         // Loop rotation: the condition computed at the bottom jumps to
@@ -421,7 +422,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
              OldSites[P], nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::JumpIfFalse && NQ->B == X.B &&
-                 X.B >= Ch.FirstTemp && cmpToBr(X.O, Br, K) &&
+                 X.B >= Raw.FirstTemp && cmpToBr(X.O, Br, K) &&
                  spanFree(P, Q)) {
         fuse(Q, {Br, 0, 0, X.C, X.D, NQ->E}, OldSites[P], nullptr, nullptr);
         Fused = true;
@@ -456,8 +457,8 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         Fused = true;
       } else if (NQ && NQ->O == Op::LoadConst && NR && NS &&
                  cmpToBr(NR->O, Br, CK) && NS->O == Op::JumpIfFalse &&
-                 NR->D == NQ->B && NS->B == NR->B && NR->B >= Ch.FirstTemp &&
-                 NQ->B >= Ch.FirstTemp && NR->C == X.B && NR->C != NQ->B &&
+                 NR->D == NQ->B && NS->B == NR->B && NR->B >= Raw.FirstTemp &&
+                 NQ->B >= Raw.FirstTemp && NR->C == X.B && NR->C != NQ->B &&
                  NQ->E <= 0xffff && spanFree(P, S3)) {
         // The loop-header prologue: refresh the induction variable, then
         // the CmpConstBr quad on it. The fused move feeds the compare's
@@ -468,14 +469,16 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
              OldSites[P], nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::Dup && NR && NR->O == Op::Move &&
-                 NR->C == NQ->C && NR->B <= 0xffff && spanFree(P, R2)) {
+                 NR->C == NQ->C && spanFree(P, R2)) {
         // Copy, retain, copy: the second move reads the slot the dup
         // just retained (match binders feeding a recursive call window).
+        // The second move's dst is a 16-bit register and lands in the
+        // 32-bit E, so it always fits.
         fuse(R2, {Op::MoveDupMove, 0, X.B, X.C, NQ->C, NR->B}, OldSites[Q],
              nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::LoadConst && NR && arithKind(NR->O, AK) &&
-                 NQ->B >= Ch.FirstTemp && NQ->E <= 0xffff && X.B != NQ->B &&
+                 NQ->B >= Raw.FirstTemp && NQ->E <= 0xffff && X.B != NQ->B &&
                  ((NR->D == NQ->B && NR->C != NQ->B) ||
                   (NR->C == NQ->B && NR->D != NQ->B)) &&
                  spanFree(P, R2)) {
@@ -579,11 +582,20 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
     }
   }
 
+  St.After = static_cast<uint32_t>(Code.size());
+  Chunk Ch;
   Ch.Code = std::move(Code);
   Ch.Sites = std::move(Sites);
   Ch.Sites2 = std::move(Sites2);
   Ch.Sites3 = std::move(Sites3);
-  St.After = static_cast<uint32_t>(Ch.Code.size());
+  Ch.NumRegs = Raw.NumRegs;
+  Ch.NumParams = Raw.NumParams;
+  Ch.FirstTemp = Raw.FirstTemp;
+  Ch.Lam = Raw.Lam;
+  Ch.CaptureSrc = Raw.CaptureSrc;
+  Ch.CaptureDst = Raw.CaptureDst;
+  Ch.Fn = Raw.Fn;
+  return Ch;
 }
 
 } // namespace
@@ -596,19 +608,25 @@ PeepholeReport runPeephole(CompiledProgram &CP) {
   ImmediateInfo Info = analyzeImmediates(*CP.Prog);
   Rep.AnalysisRounds = Info.Rounds;
 
-  CP.RawFuncs = CP.Funcs;
-  CP.RawLams = CP.Lams;
+  // The compiled chunks become the retained raw tables; the rewritten
+  // ones are built fresh beside them.
+  CP.RawFuncs = std::move(CP.Funcs);
+  CP.RawLams = std::move(CP.Lams);
+  CP.Funcs.clear();
+  CP.Lams.clear();
+  CP.Funcs.reserve(CP.RawFuncs.size());
+  CP.Lams.reserve(CP.RawLams.size());
 
-  for (size_t F = 0; F != CP.Funcs.size(); ++F) {
+  for (const Chunk &Raw : CP.RawFuncs) {
     PeepholeChunkStats St;
-    St.Name = std::string(CP.Prog->symbols().name(CP.Funcs[F].Fn->Name));
-    rewriteChunk(CP.Funcs[F], CP, Info, St);
+    St.Name = std::string(CP.Prog->symbols().name(Raw.Fn->Name));
+    CP.Funcs.push_back(rewriteChunk(Raw, CP, Info, St));
     Rep.Chunks.push_back(std::move(St));
   }
-  for (size_t L = 0; L != CP.Lams.size(); ++L) {
+  for (size_t L = 0; L != CP.RawLams.size(); ++L) {
     PeepholeChunkStats St;
     St.Name = "lambda#" + std::to_string(L);
-    rewriteChunk(CP.Lams[L], CP, Info, St);
+    CP.Lams.push_back(rewriteChunk(CP.RawLams[L], CP, Info, St));
     Rep.Chunks.push_back(std::move(St));
   }
 

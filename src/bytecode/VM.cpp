@@ -24,6 +24,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace perceus;
 
@@ -80,6 +81,16 @@ uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
   X(DupDecLoadConst) X(Dup2DecLoadConst) X(Dup2Move2) X(MoveDupMove)       \
   X(MoveArithConst) X(ArithConstMove) X(MoveCmpConstBr) X(ConRet)          \
   X(DropMove) X(ArithConstRet) X(IsUniqueReuseJmp)
+
+/// The tag of a constructor scrutinee (a constructor cell or a nullary
+/// tag); NoTag for anything else, closures included.
+static uint32_t constructorTag(Value V) {
+  if (V.Kind == ValueKind::HeapRef && V.Ref->H.Kind == CellKind::Ctor)
+    return V.Ref->H.Tag;
+  if (V.Kind == ValueKind::Enum)
+    return V.enumTag();
+  return MatchArmCode::NoTag;
+}
 
 /// The arithmetic of MoveArith/ArithMove (\p K: 0 add, 1 sub, else mul).
 static int64_t fusedArith(uint32_t K, int64_t A, int64_t B) {
@@ -210,6 +221,27 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   return R;
 }
 
+/// The rare half of the dispatch loop's step check, reached on step
+/// NextEvent: either the fuel runs out, or a safepoint is due. A
+/// safepoint publishes the buffered shared-count deltas every
+/// SharedFlushSafepointStride-th time (bounded staleness for other
+/// workers; see Engine.h for why not every time), then reads the
+/// deadline clock. Returns the next bound, or 0 after a trap.
+uint64_t VM::stepEvent(uint64_t Steps) {
+  if (Steps >= FuelEnd) {
+    trap("step limit exceeded (out of fuel)", TrapKind::OutOfFuel);
+    return 0;
+  }
+  NextSafepoint += DeadlineCheckInterval;
+  if ((Steps & (DeadlineCheckInterval * SharedFlushSafepointStride - 1)) == 0)
+    H.flushSharedDeltas();
+  if (DeadlineMs && std::chrono::steady_clock::now() >= DeadlineAt) {
+    trap("wall-clock deadline exceeded", TrapKind::Deadline);
+    return 0;
+  }
+  return std::min(FuelEnd, NextSafepoint);
+}
+
 // Cache-line aligned, so the dispatch loop's placement (and with it its
 // speed, by ~5% on the Figure 9 set) does not shift with the size of
 // unrelated code linked ahead of it.
@@ -226,12 +258,12 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   const Value *Consts = CP.Consts.data();
   uint32_t Pc = 0;
   uint64_t Steps = 0;
-  const uint64_t Fuel = StepLimit;
-  const bool HasDeadline = DeadlineMs != 0;
-  // Safepoints fire on the deadline cadence when armed: a deadline is
-  // set, or the heap coalesces shared counts and must flush buffered
-  // deltas periodically so other workers observe bounded-stale counts.
-  const bool HasSafepoint = HasDeadline || H.sharedCoalescingEnabled();
+  constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
+  FuelEnd = StepLimit == 0 || StepLimit == Never ? Never : StepLimit + 1;
+  NextSafepoint = DeadlineMs != 0 || H.sharedCoalescingEnabled()
+                      ? DeadlineCheckInterval
+                      : Never;
+  uint64_t NextEvent = std::min(FuelEnd, NextSafepoint);
   Instr I{};
 #if PERCEUS_VM_PROFILE
   size_t ProfPrevOp = 0;
@@ -243,17 +275,14 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
     goto Exit;                                                                 \
   } while (0)
 
-#define VM_FUEL_CHECK()                                                        \
+  // One compare per dispatch; the fuel trap and the safepoints are
+  // stepEvent()'s, reached only on step NextEvent.
+#define VM_COUNT_STEP()                                                        \
   do {                                                                         \
-    ++Steps;                                                                   \
-    if (Fuel && Steps > Fuel)                                                  \
-      VM_TRAP("step limit exceeded (out of fuel)", TrapKind::OutOfFuel);       \
-    if (HasSafepoint && (Steps & (DeadlineCheckInterval - 1)) == 0) {          \
-      if ((Steps &                                                             \
-           (DeadlineCheckInterval * SharedFlushSafepointStride - 1)) == 0)     \
-        H.flushSharedDeltas();                                                 \
-      if (HasDeadline && std::chrono::steady_clock::now() >= DeadlineAt)       \
-        VM_TRAP("wall-clock deadline exceeded", TrapKind::Deadline);           \
+    if (++Steps >= NextEvent) [[unlikely]] {                                   \
+      NextEvent = stepEvent(Steps);                                            \
+      if (!NextEvent)                                                          \
+        goto Exit;                                                             \
     }                                                                          \
   } while (0)
 
@@ -280,7 +309,7 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
 #define VM_CASE(Name) L_##Name:
 #define VM_NEXT()                                                              \
   do {                                                                         \
-    VM_FUEL_CHECK();                                                           \
+    VM_COUNT_STEP();                                                           \
     I = Code[Pc++];                                                            \
     VM_PROFILE_PAIR();                                                         \
     goto *Tab[static_cast<size_t>(I.O)];                                       \
@@ -290,7 +319,7 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
 #define VM_CASE(Name) case Op::Name:
 #define VM_NEXT() goto NextInstr
 NextInstr:
-  VM_FUEL_CHECK();
+  VM_COUNT_STEP();
   I = Code[Pc++];
   VM_PROFILE_PAIR();
   switch (I.O) {
@@ -321,6 +350,23 @@ NextInstr:
   VM_CASE(MatchOp) {
     Value V = RF[I.B];
     const MatchTable &T = CP.Matches[I.E];
+    // A constructor scrutinee cannot trap on a tag-only table: its arm
+    // is the first with an equal tag, else the default.
+    uint32_t Tag = T.TagOnly ? constructorTag(V) : MatchArmCode::NoTag;
+    if (Tag != MatchArmCode::NoTag) {
+      for (const MatchArmCode &Arm : T.Arms)
+        if (Arm.Tag == Tag) {
+          const uint16_t *Binders = CP.BinderSlots.data() + Arm.BinderBase;
+          for (uint32_t J = 0; J != Arm.NumBinders; ++J)
+            RF[Binders[J]] = V.Ref->field(J);
+          Pc = Arm.Target;
+          VM_NEXT();
+        }
+      if (T.DefaultArm == MatchTable::NoArm)
+        VM_TRAP("non-exhaustive match", TrapKind::RuntimeError);
+      Pc = T.Arms[T.DefaultArm].Target;
+      VM_NEXT();
+    }
     const MatchArmCode *Default = nullptr;
     for (const MatchArmCode &Arm : T.Arms) {
       bool Matches = false;
@@ -1568,7 +1614,7 @@ Exit:
 #undef VM_CASE
 #undef VM_NEXT
 #undef VM_TRAP
-#undef VM_FUEL_CHECK
+#undef VM_COUNT_STEP
 #undef VM_REFRAME
 #undef VM_SWITCH_CHUNK
 }

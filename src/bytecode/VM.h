@@ -76,6 +76,7 @@ private:
   };
 
   void execute(const Chunk *Entry, RunResult &R);
+  uint64_t stepEvent(uint64_t Steps);
   void applyClosure(const Chunk *T, Cell *Clo, const Expr *CallSite,
                     Value *RF);
   void trap(std::string Msg, TrapKind Kind = TrapKind::RuntimeError);
@@ -85,12 +86,20 @@ private:
   Heap &H;
 
   FlatStack<Value> Regs; ///< one overlapped register stack, all frames
-  std::vector<Frame> Frames;
+  FlatStack<Frame> Frames;
   Value Result;
 
   RunResult *Run = nullptr;
   StatsSink *Sink = nullptr; // cached from H.statsSink() at run() entry
   uint64_t StepLimit = 0;
+  // The dispatch loop compares its step count against one bound: the
+  // first step that is out of fuel (FuelEnd) or due a safepoint
+  // (NextSafepoint), whichever comes first; stepEvent() handles it.
+  // Safepoints fire every DeadlineCheckInterval dispatches when armed (a
+  // deadline is set, or the heap coalesces shared counts and must flush
+  // periodically so other workers observe bounded-stale counts).
+  uint64_t FuelEnd = 0;
+  uint64_t NextSafepoint = 0;
   uint64_t CallDepthLimit = 0;
   uint64_t CallDepth = 0; // live non-tail frames
   uint64_t DeadlineMs = 0;

@@ -125,6 +125,10 @@ public:
       NewTail = mapChildren(B, Tail, [&](const Expr *C) { return fuse(C); });
     }
 
+    // Nothing cancelled or moved and the tail came back as it was: keep
+    // E, so the ancestors' mapChildren keep theirs too.
+    if (Ops.size() == Chain.size() && NewTail == Tail)
+      return E;
     return wrap(Ops, NewTail);
   }
 

@@ -15,6 +15,17 @@
 /// 8-byte tagged word a cell stores per field. Ints that do not fit a
 /// field word's 63 bits are boxed out of line (see FieldWord).
 ///
+/// A `Value` is always written whole. Every constructor and maker, and
+/// FieldWord::decode, builds all 16 bytes (the kind byte, seven zero
+/// padding bytes, the payload) in one vector register and stores them
+/// with a single 16-byte store; nothing outside this file writes `Kind`
+/// or the payload. The reason is store forwarding: values are copied
+/// whole (a register move, an operand push, a binder copy), and a
+/// 16-byte load that follows a 1-byte kind store plus an 8-byte payload
+/// store cannot be forwarded from either, so it stalls until both
+/// stores retire. One full-width store forwards. The zero padding also
+/// makes equal values bytewise equal.
+///
 /// The cell header encodes the reference count exactly as Section 2.7.2
 /// describes: positive counts for thread-local objects, negative counts
 /// for thread-shared ones (updated atomically), with a single fused
@@ -27,8 +38,12 @@
 #define PERCEUS_RUNTIME_VALUE_H
 
 #include <atomic>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 namespace perceus {
 
@@ -46,9 +61,11 @@ enum class ValueKind : uint8_t {
   Raw,     ///< untraced pointer (closure code pointer)
 };
 
-/// A runtime value. 16 bytes, trivially copyable.
+/// A runtime value. 16 bytes, trivially copyable, and always written
+/// whole: see the file comment.
 struct Value {
-  ValueKind Kind = ValueKind::Unit;
+  ValueKind Kind;
+  // Seven padding bytes, always zero.
   union {
     int64_t Int;      // Int / Bool
     uint64_t Bits;    // Enum: (dataId << 32) | tag; FnRef: function id
@@ -56,50 +73,27 @@ struct Value {
     Cell *Tok;        // Token (may be null)
   };
 
-  Value() : Int(0) {}
+  Value() : Value(ValueKind::Unit, 0) {}
 
   static Value unit() { return Value(); }
   static Value makeInt(int64_t V) {
-    Value R;
-    R.Kind = ValueKind::Int;
-    R.Int = V;
-    return R;
+    return Value(ValueKind::Int, static_cast<uint64_t>(V));
   }
-  static Value makeBool(bool V) {
-    Value R;
-    R.Kind = ValueKind::Bool;
-    R.Int = V ? 1 : 0;
-    return R;
-  }
+  static Value makeBool(bool V) { return Value(ValueKind::Bool, V ? 1 : 0); }
   static Value makeEnum(uint32_t DataId, uint32_t Tag) {
-    Value R;
-    R.Kind = ValueKind::Enum;
-    R.Bits = (uint64_t(DataId) << 32) | Tag;
-    return R;
+    return Value(ValueKind::Enum, (uint64_t(DataId) << 32) | Tag);
   }
   static Value makeFnRef(uint32_t FuncId) {
-    Value R;
-    R.Kind = ValueKind::FnRef;
-    R.Bits = FuncId;
-    return R;
+    return Value(ValueKind::FnRef, FuncId);
   }
   static Value makeRef(Cell *C) {
-    Value R;
-    R.Kind = ValueKind::HeapRef;
-    R.Ref = C;
-    return R;
+    return Value(ValueKind::HeapRef, reinterpret_cast<uint64_t>(C));
   }
   static Value makeToken(Cell *C) {
-    Value R;
-    R.Kind = ValueKind::Token;
-    R.Tok = C;
-    return R;
+    return Value(ValueKind::Token, reinterpret_cast<uint64_t>(C));
   }
   static Value makeRaw(const void *P) {
-    Value R;
-    R.Kind = ValueKind::Raw;
-    R.Bits = reinterpret_cast<uint64_t>(P);
-    return R;
+    return Value(ValueKind::Raw, reinterpret_cast<uint64_t>(P));
   }
 
   const void *rawPtr() const {
@@ -120,7 +114,32 @@ struct Value {
     assert(Kind == ValueKind::Bool);
     return Int != 0;
   }
+
+private:
+  friend struct FieldWord;
+
+  /// The one write path: {K, zero padding, Payload} built in a vector
+  /// register and stored with a single 16-byte store.
+  Value(ValueKind K, uint64_t Payload) {
+    uint64_t KindWord = static_cast<uint64_t>(K);
+    if constexpr (std::endian::native == std::endian::big)
+      KindWord <<= 56;
+#if defined(__GNUC__) || defined(__clang__)
+    typedef uint64_t Whole __attribute__((vector_size(16)));
+    Whole W = {KindWord, Payload};
+#else
+    uint64_t W[2] = {KindWord, Payload};
+#endif
+    std::memcpy(static_cast<void *>(this), &W, sizeof(W));
+  }
 };
+
+static_assert(static_cast<uint8_t>(ValueKind::Unit) == 0,
+              "a zeroed Value is unit");
+static_assert(sizeof(Value) == 16 && offsetof(Value, Kind) == 0 &&
+                  offsetof(Value, Bits) == 8,
+              "the one-store layout: kind word, then payload word");
+static_assert(std::is_trivially_copyable_v<Value>);
 
 /// Two's-complement wrapping arithmetic on the language's 64-bit ints.
 /// Overflow wraps modulo 2^64, never traps; the computation goes through
@@ -226,27 +245,17 @@ struct FieldWord {
 
   /// Decodes to a plain Value; a boxed int decodes to its full value.
   Value decode() const {
-    Value V;
-    if (Bits & 1) {
-      V.Kind = ValueKind::Int;
-      V.Int = static_cast<int64_t>(Bits) >> 1;
-      return V;
-    }
+    if (Bits & 1)
+      return Value(ValueKind::Int, static_cast<uint64_t>(
+                                       static_cast<int64_t>(Bits) >> 1));
     uint64_t Tag = Bits & TagMask;
-    if (Tag == RefTag) {
-      V.Kind = ValueKind::HeapRef;
-      V.Bits = Bits;
-    } else if (Tag == ImmTag) {
-      V.Kind = static_cast<ValueKind>((Bits >> 3) & 31);
-      V.Bits = Bits >> 8;
-    } else if (Tag == BoxTag) {
-      V.Kind = ValueKind::Int;
-      V.Int = *box();
-    } else {
-      V.Kind = ValueKind::Raw;
-      V.Bits = Bits - RawTag;
-    }
-    return V;
+    if (Tag == RefTag)
+      return Value(ValueKind::HeapRef, Bits);
+    if (Tag == ImmTag)
+      return Value(static_cast<ValueKind>((Bits >> 3) & 31), Bits >> 8);
+    if (Tag == BoxTag)
+      return Value(ValueKind::Int, static_cast<uint64_t>(*box()));
+    return Value(ValueKind::Raw, Bits - RawTag);
   }
 };
 
@@ -309,7 +318,6 @@ struct Cell {
   }
 };
 
-static_assert(sizeof(Value) == 16, "Value should stay two words");
 static_assert(sizeof(Cell) == 8, "the cell header is one word");
 
 /// Frees every box \p C's field words own and clears its MayBox flag.

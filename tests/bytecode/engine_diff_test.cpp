@@ -28,6 +28,8 @@
 
 #include "calculus/Generator.h"
 #include "eval/Runner.h"
+#include "ir/Builder.h"
+#include "lang/Resolver.h"
 #include "programs/Programs.h"
 #include "support/Casting.h"
 #include "support/FaultInjector.h"
@@ -211,21 +213,26 @@ struct Observed {
   bool HeapEmpty = false;
 };
 
+/// Runs \p Entry(\p N) on a set-up Runner and collects the observation.
+Observed observe(Runner &R, const char *Entry, int64_t N) {
+  EXPECT_TRUE(R.ok()) << R.diagnostics().str();
+  Observed O;
+  R.engine().setResultInspector(
+      [&](Value V) { O.Checksum = checksumValue(V); });
+  O.Run = R.callInt(Entry, {N});
+  O.Heap = R.heap().stats();
+  // Garbage free includes the out-of-line int boxes cell fields own.
+  O.HeapEmpty = R.heapIsEmpty() && O.Heap.BoxedInts == 0;
+  return O;
+}
+
 Observed runOn(const DiffCase &C, const PassConfig &Config,
                EngineKind Engine, FaultInjector *FI = nullptr,
                bool Peephole = false) {
   EngineConfig EC = EngineConfig{}.withEngine(Engine).withPeephole(Peephole);
   EC.Injector = FI;
   Runner R(C.Source, Config, EC);
-  EXPECT_TRUE(R.ok()) << R.diagnostics().str();
-  Observed O;
-  R.engine().setResultInspector(
-      [&](Value V) { O.Checksum = checksumValue(V); });
-  O.Run = R.callInt(C.Entry, {C.N});
-  O.Heap = R.heap().stats();
-  // Garbage free includes the out-of-line int boxes cell fields own.
-  O.HeapEmpty = R.heapIsEmpty() && O.Heap.BoxedInts == 0;
-  return O;
+  return observe(R, C.Entry, C.N);
 }
 
 /// The full equality contract between two runs of the same program.
@@ -503,8 +510,9 @@ TEST(EngineDiff, WideIntFieldsAgreeAndFreeEveryBox) {
       EXPECT_TRUE(Cek.HeapEmpty);
       EXPECT_TRUE(Vm.HeapEmpty);
       EXPECT_TRUE(Peep.HeapEmpty);
-      if (Config.EnableReuse)
+      if (Config.EnableReuse) {
         EXPECT_GT(Cek.Run.ReuseHits, 0u);
+      }
     }
   }
   // Sanity: the program really boxes. One entry argument past the
@@ -524,6 +532,126 @@ TEST(EngineDiff, WideIntFieldsAgreeAndFreeEveryBox) {
 /// arithmetic form (the ArithConst family covers `n + 1`, `n - 1`,
 /// `1 - n` and `n * 4`). The computation must be defined behaviour: the
 /// UBSan job runs this test, so a native signed overflow aborts it.
+/// The host program of the constructor-match cases: `pick`'s body is
+/// replaced by a hand-built match on its parameter (arm orders the
+/// resolver never emits: it always puts the default arm last), and the
+/// entries hand it constructor cells (A, B), a nullary tag (C), a
+/// closure and an int.
+const char *ctorMatchSource() {
+  return R"(
+type abc {
+  A(x)
+  B(x)
+  C
+}
+
+fun pick(v) { 0 }
+
+fun main(n) {
+  pick(A(n)) + pick(B(n + 1)) * 10 + pick(C) * 100
+}
+
+fun main-closure(n) {
+  pick(fn(x) { x + n })
+}
+
+fun main-int(n) {
+  pick(n)
+}
+)";
+}
+
+/// The arms of `pick`, by kind in order: 'A' is `A(x) -> x`, 'B' is
+/// `B(y) -> y * 2`, 'D' is the default arm `_ -> 7`.
+struct CtorMatchCase {
+  const char *Name;
+  const char *Arms;
+  const char *Entry;
+  bool Ok;
+  int64_t Result;    ///< when Ok
+  const char *Error; ///< when trapped
+};
+
+Observed runCtorMatch(const CtorMatchCase &C, const PassConfig &Config,
+                      EngineKind Engine, bool Peephole = false) {
+  Program P;
+  DiagnosticEngine Diags;
+  EXPECT_TRUE(compileSource(ctorMatchSource(), P, Diags)) << Diags.str();
+  IRBuilder B(P);
+  FuncId Pick = P.findFunction(B.sym("pick"));
+  Symbol V = P.function(Pick).Params[0];
+  std::vector<MatchArm> Arms;
+  for (const char *K = C.Arms; *K; ++K) {
+    if (*K == 'D') {
+      Arms.push_back(B.defaultArm(B.litInt(7)));
+      continue;
+    }
+    Symbol X = B.freshSym("x");
+    const Expr *Body = *K == 'A'
+                           ? B.var(X)
+                           : B.prim(PrimOp::Mul, {B.var(X), B.litInt(2)});
+    Arms.push_back(B.ctorArm(P.findCtor(B.sym(*K == 'A' ? "A" : "B")), {X},
+                             Body));
+  }
+  P.setBody(Pick, B.match(V, std::span<const MatchArm>(Arms)));
+  Runner R(P, Config,
+           EngineConfig{}.withEngine(Engine).withPeephole(Peephole));
+  return observe(R, C.Entry, 5);
+}
+
+/// Constructor matches on all three engines: a default arm placed before
+/// the matching arm (the later constructor arm still wins), a default
+/// that catches an unlisted cell or tag, a default-only table, and
+/// closure and int scrutinees (a closure matches no constructor arm; an
+/// int traps at the first constructor arm the scan reaches, default or
+/// not). The VM decides constructor scrutinees by tag alone on these
+/// all-constructor tables; every outcome must equal the CEK's full scan.
+TEST(EngineDiff, ConstructorMatchesAgreeOnEveryEngine) {
+  // main(5) = pick(A(5)) + 10 * pick(B(6)) + 100 * pick(C).
+  const CtorMatchCase Cases[] = {
+      {"default-first", "DAB", "main", true, 5 + 10 * 12 + 100 * 7, ""},
+      {"default-between", "ADB", "main", true, 5 + 10 * 12 + 100 * 7, ""},
+      {"fallthrough", "AD", "main", true, 5 + 10 * 7 + 100 * 7, ""},
+      {"default-only", "D", "main", true, 7 + 10 * 7 + 100 * 7, ""},
+      {"non-exhaustive", "AB", "main", false, 0, "non-exhaustive match"},
+      {"closure-default", "AD", "main-closure", true, 7, ""},
+      {"closure-default-first", "DAB", "main-closure", true, 7, ""},
+      {"closure-no-default", "AB", "main-closure", false, 0,
+       "non-exhaustive match"},
+      {"int", "AD", "main-int", false, 0,
+       "match on a non-constructor value"},
+      {"int-default-first", "DA", "main-int", false, 0,
+       "match on a non-constructor value"},
+      {"int-default-only", "D", "main-int", true, 7, ""},
+  };
+  for (const CtorMatchCase &C : Cases) {
+    for (const auto &[Name, Config] : allConfigs()) {
+      SCOPED_TRACE(std::string(C.Name) + " / " + Name);
+      bool GcMode = Config.Mode == RcMode::None;
+      Observed Cek = runCtorMatch(C, Config, EngineKind::Cek);
+      Observed Vm = runCtorMatch(C, Config, EngineKind::Vm);
+      Observed Peep = runCtorMatch(C, Config, EngineKind::Vm,
+                                   /*Peephole=*/true);
+      ASSERT_EQ(Cek.Run.Ok, C.Ok) << Cek.Run.Error;
+      if (C.Ok) {
+        ASSERT_EQ(Cek.Run.Result.Kind, ValueKind::Int);
+        EXPECT_EQ(Cek.Run.Result.Int, C.Result);
+      } else {
+        EXPECT_EQ(Cek.Run.Error, C.Error);
+      }
+      expectEqualObservations(Cek, Vm, GcMode);
+      expectEqualObservations(Cek, Peep, GcMode, /*Semantic=*/true);
+      EXPECT_EQ(Cek.Run.Result.Int, Vm.Run.Result.Int);
+      EXPECT_EQ(Cek.Run.Result.Int, Peep.Run.Result.Int);
+      if (!GcMode) {
+        EXPECT_TRUE(Cek.HeapEmpty);
+        EXPECT_TRUE(Vm.HeapEmpty);
+        EXPECT_TRUE(Peep.HeapEmpty);
+      }
+    }
+  }
+}
+
 TEST(EngineDiff, IntegerOverflowWrapsIdenticallyOnEveryEngine) {
   struct WrapCase {
     const char *Source;
